@@ -218,8 +218,7 @@ class RecommenderConfig:
         performance knob (excluded from :meth:`fingerprint`).
     packed_topk:
         With ``kernel="packed"``: rank uncached single-user rows through
-        the bounded-heap top-k kernel instead of materialising the full
-        score dict.  Bit-identical either way; purely a performance knob
+        the top-k kernel instead of materialising the full score dict.  Bit-identical either way; purely a performance knob
         (excluded from :meth:`fingerprint`).
     packed_spill:
         Optional directory the packed CSR arrays are spilled to

@@ -852,24 +852,26 @@ class RemoteBackend(ExecutionBackend):
                 pass
             conn.close()
             return
-        with self._lock:
+        # WELCOME is sent and the worker parked under one lock hold: a
+        # worker that has read its WELCOME is already pending, so the
+        # next dispatch admits it (dispatch admits under the same lock).
+        with self._cond:
             worker_id = self._next_worker_id
             self._next_worker_id += 1
-        try:
-            sent = conn.send(
-                Welcome(worker_id=worker_id, fingerprint=self.fingerprint)
-            )
-        except (WireError, OSError):
-            conn.close()
-            return
-        self._frames_sent.inc()
-        self._bytes_sent.inc(sent)
-        # The breaker keys on the bare peer host (ephemeral source
-        # ports change every reconnect, worker ids are never reused).
-        peer_host = conn.peer.rsplit(":", 1)[0]
-        worker = _RemoteWorker(worker_id, conn, host=peer_host)
-        worker.last_seen = self._clock()
-        with self._cond:
+            try:
+                sent = conn.send(
+                    Welcome(worker_id=worker_id, fingerprint=self.fingerprint)
+                )
+            except (WireError, OSError):
+                conn.close()
+                return
+            self._frames_sent.inc()
+            self._bytes_sent.inc(sent)
+            # The breaker keys on the bare peer host (ephemeral source
+            # ports change every reconnect, worker ids are never reused).
+            peer_host = conn.peer.rsplit(":", 1)[0]
+            worker = _RemoteWorker(worker_id, conn, host=peer_host)
+            worker.last_seen = self._clock()
             if peer_host in self._faulted_hosts:
                 self._rejoins.inc()
             self._pending.append(worker)
@@ -1629,6 +1631,13 @@ class RemoteBackend(ExecutionBackend):
                 self._pending = []
                 self._ring = HashRing()
                 if self._listener is not None:
+                    # Closing alone does not wake the thread blocked in
+                    # accept(); shutting the socket down first does, so
+                    # the join below returns at once instead of timing out.
+                    try:
+                        self._listener.shutdown(socket.SHUT_RDWR)
+                    except OSError:  # pragma: no cover - not connected
+                        pass
                     try:
                         self._listener.close()
                     except OSError:  # pragma: no cover - already closed

@@ -1,18 +1,19 @@
 """``repro.kernels`` — packed CSR similarity / prediction kernels.
 
 The layout-first compute layer: :class:`PackedRatings` mirrors a
-:class:`~repro.data.ratings.RatingMatrix` as integer-interned,
-contiguous CSR arrays (sorted rows, precomputed means and centered
+:class:`~repro.data.ratings.RatingMatrix` as integer-interned, flat CSR
+``numpy`` arrays (sorted rows, precomputed means and centered
 deviations, a packed inverted index), and the kernel functions run the
-paper's hot equations over that layout —
+paper's hot equations over that layout, each as one gather plus
+``numpy.bincount`` —
 
-* :func:`pearson_one_vs_many` / :func:`pearson_pair` — Equation 2 via
-  sorted-merge intersection over int ids;
+* :func:`pearson_one_vs_many` / :func:`pearson_pair` — Equation 2 over
+  int ids;
 * :func:`overlap_counts` — candidate co-rating counts through the
   packed inverted index;
 * :func:`predict_table_packed` / :func:`predict_row_packed` /
   :func:`predict_topk_packed` — Equation 1 prediction tables (full,
-  per-row, and bounded-heap top-k) for the recommend paths;
+  per-row, and top-k) for the recommend paths;
 * :func:`items_unrated_by_all_packed` /
   :func:`candidate_ints_unrated_by_all` — the group candidate scan
   (Definition 2) as a set subtract in intern space;
@@ -21,9 +22,10 @@ paper's hot equations over that layout —
   (:mod:`repro.kernels.spill`), letting pool workers bootstrap by
   opening files instead of receiving a full state ship.
 
-Everything is pure stdlib and **bit-identical** to the dict-of-dicts
-oracle paths (same summation order within every pair); the
-``kernel="packed"|"dict"`` knob on
+The kernels need ``numpy`` (a runtime dependency) and are
+**bit-identical** to the dict-of-dicts oracle paths: ``bincount`` adds
+every bin's terms in input order, which the gathers arrange to be the
+oracle's summation order.  The ``kernel="packed"|"dict"`` knob on
 :class:`~repro.config.RecommenderConfig` selects between them, with
 ``packed`` the default and ``dict`` retained as the oracle.
 """

@@ -4,7 +4,7 @@ The dict-of-dicts :class:`~repro.data.ratings.RatingMatrix` is the right
 shape for mutation and for the paper-faithful oracle code, and the wrong
 shape for the similarity/prediction inner loops: every pair score hashes
 strings, builds throwaway sets and recomputes means.  This module packs
-the same data into flat, contiguous storage once and lets the kernels in
+the same data into flat numpy arrays once and lets the kernels in
 :mod:`repro.kernels.pearson` / :mod:`repro.kernels.relevance` run over
 integers:
 
@@ -13,19 +13,20 @@ integers:
   ``matrix.item_ids()``), so the ascending-int order of a packed row is
   exactly the canonical co-rated summation order the dict oracle uses
   (see :class:`~repro.similarity.ratings_sim.PearsonRatingSimilarity`);
-* **CSR rows** — per user, an ``array('l')`` of item ints sorted
-  ascending with parallel ``array('d')`` arrays of raw ratings and of
-  centered deviations (``value - μ_u``), plus the precomputed per-user
-  mean;
-* **an inverted index** — per item, parallel arrays of the rater ints
-  and their raw ratings, powering candidate overlap counting and the
-  prediction-table kernel without per-item dict copies.
+* **CSR rows** — ``indptr`` (per user, ``num_users + 1`` offsets) over
+  ``indices`` (item ints, ascending within each row), with parallel
+  ``values`` (raw ratings) and ``devs`` (centered deviations,
+  ``value - μ_u``), plus the per-user ``means``;
+* **an inverted index** — ``inv_ptr`` (per item) over ``inv_users``
+  (rater ints) and their raw ``inv_values``, powering the one-vs-many
+  Pearson sweep without per-item dict copies.
 
-Packing is cheap (one pass over the ratings) but not free, so packed
-views are shared per matrix (:func:`get_packed`) and kept current
-incrementally: the serving layer marks users dirty as it mutates the
-matrix (:meth:`PackedRatings.mark_dirty`) and the next kernel call
-repacks only those rows (:meth:`PackedRatings.ensure_current`).  Any
+Packing is cheap (one pass over the ratings plus two C-speed sorts) but
+not free, so packed views are shared per matrix (:func:`get_packed`)
+and kept current incrementally: the serving layer marks users dirty as
+it mutates the matrix (:meth:`PackedRatings.mark_dirty`) and the next
+kernel call re-reads only those rows from the matrix and splices them
+into fresh flat arrays (:meth:`PackedRatings.ensure_current`).  Any
 mutation the packed view was *not* told about — a removal, or a version
 move with no dirty marks — falls back to a full rebuild, so results
 stay correct (just slower) for out-of-band mutation patterns.
@@ -43,11 +44,16 @@ from __future__ import annotations
 import threading
 import time
 import weakref
-from array import array
 from itertools import islice
+
+import numpy as np
 
 from ..data.ratings import RatingMatrix
 from ..obs import get_registry, is_enabled
+
+#: dtypes of the packed arrays (and of the spill files that mirror them).
+INT_DTYPE = np.dtype(np.int64)
+FLOAT_DTYPE = np.dtype(np.float64)
 
 
 def _observe_repack(kind: str, started: float) -> None:
@@ -117,15 +123,43 @@ def attach_spill(matrix: RatingMatrix, directory) -> "PackedRatings":
     return packed
 
 
+def csr_offsets(keys: np.ndarray, count: int) -> np.ndarray:
+    """CSR offsets (``count + 1`` entries) of the grouped ``keys`` array."""
+    offsets = np.zeros(count + 1, dtype=INT_DTYPE)
+    np.cumsum(np.bincount(keys, minlength=count), out=offsets[1:])
+    return offsets
+
+
+def csr_gather(
+    indptr: np.ndarray, keys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the CSR slices ``keys`` name, concatenated in key order.
+
+    Returns ``(positions, lengths)``: ``positions`` indexes the flat
+    arrays behind ``indptr``; ``lengths[k]`` is the size of the slice
+    of ``keys[k]``.  One vectorised expansion, no Python loop.
+    """
+    starts = indptr[keys]
+    lengths = indptr[keys + 1] - starts
+    total = int(lengths.sum())
+    ends = np.cumsum(lengths)
+    # Each position is its slice's start plus its offset in the slice.
+    positions = np.arange(total, dtype=INT_DTYPE) + np.repeat(
+        starts - (ends - lengths), lengths
+    )
+    return positions, lengths
+
+
 class PackedRatings:
     """Flat CSR mirror of one :class:`RatingMatrix` (see module docs).
 
-    All attributes are parallel per-int structures: ``row_items[u]``,
-    ``row_values[u]``, ``row_devs[u]`` and ``row_maps[u]`` (an
-    int-keyed dict for O(1) probes and C-speed key intersections)
-    describe user int ``u``; ``inv_users[i]`` / ``inv_values[i]``
-    describe item int ``i``.  Treat them as read-only outside this
-    module; mutate the underlying matrix and call :meth:`mark_dirty` /
+    User int ``u`` owns positions ``indptr[u]:indptr[u + 1]`` of
+    ``indices`` / ``values`` / ``devs`` and ``means[u]``; item int
+    ``i`` owns positions ``inv_ptr[i]:inv_ptr[i + 1]`` of
+    ``inv_users`` / ``inv_values``.  The arrays are never written in
+    place — every repack assigns fresh ones — so they are safe to read
+    (and may be read-only ``mmap`` views, see :meth:`open_mmap`).
+    Mutate the underlying matrix and call :meth:`mark_dirty` /
     :meth:`ensure_current` instead.
     """
 
@@ -161,53 +195,84 @@ class PackedRatings:
         self.item_index: dict[str, int] = {
             item_id: index for index, item_id in enumerate(self.item_ids)
         }
-        self.row_items: list[array] = []
-        self.row_values: list[array] = []
-        self.row_devs: list[array] = []
-        self.row_maps: list[dict[int, float]] = []
-        self.means: list[float] = []
-        for user_id in self.user_ids:
-            self._append_row(user_id)
-        self.inv_users: list[array] = [array("l") for _ in self.item_ids]
-        self.inv_values: list[array] = [array("d") for _ in self.item_ids]
-        for user_int, items in enumerate(self.row_items):
-            values = self.row_values[user_int]
-            for position, item_int in enumerate(items):
-                self.inv_users[item_int].append(user_int)
-                self.inv_values[item_int].append(values[position])
-        self._num_ratings = matrix.num_ratings
+        rows, items, values, means = self._read_rows(range(len(self.user_ids)))
+        self._pack(rows, items, values, np.array(means, dtype=FLOAT_DTYPE))
+
+    def _read_rows(
+        self, user_ints
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]:
+        """The matrix rows of ``user_ints`` as flat (rows, items, values, means).
+
+        Entries come out in each row's insertion order; :meth:`_pack`
+        sorts them.  Each mean is accumulated in that order — the
+        identical operation sequence :meth:`RatingMatrix.mean_rating`
+        performs — so packed means and deviations are bit-equal to what
+        the dict oracle computes.
+        """
+        matrix = self.matrix
+        user_ids = self.user_ids
+        lengths: list[int] = []
+        means: list[float] = []
+        keys: list[str] = []
+        raw: list[float] = []
+        for user_int in user_ints:
+            row = matrix.items_of(user_ids[user_int])
+            lengths.append(len(row))
+            means.append(sum(row.values()) / len(row) if row else 0.0)
+            keys.extend(row)
+            raw.extend(row.values())
+        rows = np.repeat(np.asarray(user_ints, dtype=INT_DTYPE), lengths)
+        items = np.fromiter(
+            map(self.item_index.__getitem__, keys), dtype=INT_DTYPE, count=len(keys)
+        )
+        return rows, items, np.array(raw, dtype=FLOAT_DTYPE), means
+
+    def _pack(
+        self,
+        rows: np.ndarray,
+        items: np.ndarray,
+        values: np.ndarray,
+        means: np.ndarray,
+        inverted: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    ) -> None:
+        """Sort flat (row, item, value) entries into the CSR + inverted layout.
+
+        ``inverted`` gives the inverted index's own (user, item, value)
+        entries; by default they are the CSR entries.  Both sorts are
+        stable (timsort), which merges already-sorted runs in linear
+        time: an incremental repack passes the untouched entries in
+        their packed order followed by the few re-read ones, so a write
+        never pays a full O(ratings log ratings) sort.  Raters ascend
+        within every item, so an incremental repack and a rebuild yield
+        equal arrays.
+        """
+        num_users = len(self.user_ids)
+        num_items = len(self.item_ids)
+        order = np.argsort(rows * max(num_items, 1) + items, kind="stable")
+        rows = rows[order]
+        indices = items[order]
+        values = values[order]
+        inv_users, inv_items, inv_values = (
+            inverted if inverted is not None else (rows, indices, values)
+        )
+        by_item = np.argsort(inv_items * max(num_users, 1) + inv_users, kind="stable")
+        self.indptr = csr_offsets(rows, num_users)
+        self.indices = indices
+        self.values = values
+        self.devs = values - means[rows]
+        self.means = means
+        self.inv_ptr = csr_offsets(inv_items, num_items)
+        self.inv_users = inv_users[by_item]
+        self.inv_values = inv_values[by_item]
+        matrix = self.matrix
+        self._num_ratings = len(indices)
         self._version = matrix.version
         self._removals = matrix.removals
         self._dirty.clear()
         self._stale = False
-        # A full rebuild always yields ordinary in-memory arrays, so a
-        # spill-backed view that rebuilt is no longer mmap-backed.
+        # Packing always yields ordinary in-memory arrays, so a
+        # spill-backed view that repacked is no longer mmap-backed.
         self._spill_backed = False
-
-    def _packed_row(self, user_id: str) -> tuple[array, array, array, float]:
-        """One user's row as (items, values, devs, mean), sorted by item int.
-
-        The mean (and hence every deviation) is accumulated in the
-        user's *row insertion order* — the identical operation sequence
-        :meth:`RatingMatrix.mean_rating` performs — so packed means and
-        deviations are bit-equal to what the dict oracle computes.
-        """
-        row = self.matrix.items_of(user_id)
-        mean = sum(row.values()) / len(row)
-        item_index = self.item_index
-        pairs = sorted((item_index[item_id], value) for item_id, value in row.items())
-        items = array("l", (pair[0] for pair in pairs))
-        values = array("d", (pair[1] for pair in pairs))
-        devs = array("d", (pair[1] - mean for pair in pairs))
-        return items, values, devs, mean
-
-    def _append_row(self, user_id: str) -> None:
-        items, values, devs, mean = self._packed_row(user_id)
-        self.row_items.append(items)
-        self.row_values.append(values)
-        self.row_devs.append(devs)
-        self.row_maps.append(dict(zip(items, values)))
-        self.means.append(mean)
 
     # -- dirtiness -----------------------------------------------------------
 
@@ -220,6 +285,10 @@ class PackedRatings:
     def num_items(self) -> int:
         """Number of interned items."""
         return len(self.item_ids)
+
+    def row_bounds(self, user_int: int) -> tuple[int, int]:
+        """``(start, end)`` of user int ``user_int``'s CSR row."""
+        return int(self.indptr[user_int]), int(self.indptr[user_int + 1])
 
     def mark_dirty(self, user_id: str) -> None:
         """Record that ``user_id``'s ratings changed since the last repack."""
@@ -235,10 +304,11 @@ class PackedRatings:
         """Bring the packed state up to the matrix, as cheaply as possible.
 
         In sync (the common case) this is two int compares.  With only
-        dirty-marked additive mutations outstanding it reparses exactly
+        dirty-marked additive mutations outstanding it re-reads exactly
         the dirty rows (plus interning-table extensions for brand-new
-        users/items).  Anything else — a removal, or a version move the
-        packed view was never told about — triggers :meth:`rebuild`.
+        users/items) and splices them into fresh flat arrays.  Anything
+        else — a removal, or a version move the packed view was never
+        told about — triggers :meth:`rebuild`.
 
         Thread-safe: the serving layer's batch paths call the kernels
         from concurrent reader threads, so the staleness check and the
@@ -262,39 +332,19 @@ class PackedRatings:
                 self.rebuild()
                 _observe_repack("full", started)
                 return
-            if self._spill_backed:
-                # Mutating an mmap-backed view: downgrade to writable
-                # in-memory arrays first, then repack incrementally as
-                # usual.  The spill on disk is untouched (and now
-                # stale); re-save to refresh it.
-                self._materialize()
             started = time.perf_counter()
             self._repack_dirty()
             _observe_repack("incremental", started)
 
-    def _materialize(self) -> None:
-        """Copy every mmap-backed structure into writable arrays.
-
-        The "dirty-repack downgrade" of a spill-backed view: after this
-        the instance is indistinguishable from one built in memory.
-        Timed as ``repack_ms{kind="downgrade"}``.
-        """
-        started = time.perf_counter()
-        self.row_items = [array("l", row) for row in self.row_items]
-        self.row_values = [array("d", row) for row in self.row_values]
-        self.row_devs = [array("d", row) for row in self.row_devs]
-        self.row_maps = [
-            dict(zip(items, values))
-            for items, values in zip(self.row_items, self.row_values)
-        ]
-        self.means = list(self.means)
-        self.inv_users = [array("l", row) for row in self.inv_users]
-        self.inv_values = [array("d", row) for row in self.inv_values]
-        self._spill_backed = False
-        _observe_repack("downgrade", started)
-
     def _repack_dirty(self) -> None:
+        """Splice the dirty rows into new flat arrays.
+
+        No Python loop runs over the untouched rows: they are carried
+        over with C-speed masks and copies, so a write costs
+        O(ratings) memory traffic plus the dirty rows' own re-read.
+        """
         matrix = self.matrix
+        old_users = len(self.user_ids)
         # New items/users append to the matrix dicts (no removals
         # happened, per the caller's check), so the interning tables
         # extend from a slice — insertion order, hence canonical
@@ -302,63 +352,53 @@ class PackedRatings:
         for item_id in islice(matrix.iter_item_ids(), len(self.item_ids), None):
             self.item_index[item_id] = len(self.item_ids)
             self.item_ids.append(item_id)
-            self.inv_users.append(array("l"))
-            self.inv_values.append(array("d"))
-        for user_id in islice(matrix.iter_user_ids(), len(self.user_ids), None):
+        for user_id in islice(matrix.iter_user_ids(), old_users, None):
             self.user_index[user_id] = len(self.user_ids)
             self.user_ids.append(user_id)
-            self.row_items.append(array("l"))
-            self.row_values.append(array("d"))
-            self.row_devs.append(array("d"))
-            self.row_maps.append({})
-            self.means.append(0.0)
             self._dirty.add(user_id)
-        ratings_delta = 0
-        for user_id in self._dirty:
-            user_int = self.user_index.get(user_id)
-            if user_int is None:
-                # Marked but never rated anything — nothing to pack.
-                continue
-            if not matrix.items_of(user_id):
-                # An interned user lost their whole row; only remove()
-                # can do that and it forces a full rebuild upstream,
-                # but guard against it anyway.
-                self.rebuild()
-                return
-            ratings_delta += self._repack_user(user_int, user_id)
-        self._num_ratings += ratings_delta
-        if self._num_ratings != matrix.num_ratings:
+        # Users marked but never rated anything have nothing to pack.
+        dirty = sorted(
+            user_int
+            for user_int in map(self.user_index.get, self._dirty)
+            if user_int is not None
+        )
+        fresh_rows, fresh_items, fresh_values, fresh_means = self._read_rows(dirty)
+        if len(np.unique(fresh_rows)) != len(dirty):
+            # An interned user lost their whole row; only remove() can
+            # do that and it forces a full rebuild upstream, but guard
+            # against it anyway.
+            self.rebuild()
+            return
+        old_rows = np.repeat(
+            np.arange(old_users, dtype=INT_DTYPE), np.diff(self.indptr)
+        )
+        touched = np.zeros(len(self.user_ids), dtype=bool)
+        touched[dirty] = True
+        keep = ~touched[old_rows]
+        rows = np.concatenate((old_rows[keep], fresh_rows))
+        if len(rows) != matrix.num_ratings:
             # More mutated than was marked dirty; start over from the
             # matrix rather than serve a stale row.
             self.rebuild()
             return
-        self._version = matrix.version
-        self._dirty.clear()
-
-    def _repack_user(self, user_int: int, user_id: str) -> int:
-        """Repack one row and patch the inverted index; returns Δratings."""
-        old_map = self.row_maps[user_int]
-        items, values, devs, mean = self._packed_row(user_id)
-        self.row_items[user_int] = items
-        self.row_values[user_int] = values
-        self.row_devs[user_int] = devs
-        self.means[user_int] = mean
-        new_map = dict(zip(items, values))
-        self.row_maps[user_int] = new_map
-        affected = old_map.keys() ^ new_map.keys()
-        affected.update(
-            item_int
-            for item_int in old_map.keys() & new_map.keys()
-            if old_map[item_int] != new_map[item_int]
+        means = np.zeros(len(self.user_ids), dtype=FLOAT_DTYPE)
+        means[:old_users] = self.means
+        means[dirty] = fresh_means
+        old_items = np.repeat(
+            np.arange(len(self.inv_ptr) - 1, dtype=INT_DTYPE), np.diff(self.inv_ptr)
         )
-        user_index = self.user_index
-        for item_int in affected:
-            raters = self.matrix.users_of(self.item_ids[item_int])
-            self.inv_users[item_int] = array(
-                "l", (user_index[rater] for rater in raters)
-            )
-            self.inv_values[item_int] = array("d", raters.values())
-        return len(new_map) - len(old_map)
+        inv_keep = ~touched[self.inv_users]
+        self._pack(
+            rows,
+            np.concatenate((self.indices[keep], fresh_items)),
+            np.concatenate((self.values[keep], fresh_values)),
+            means,
+            inverted=(
+                np.concatenate((self.inv_users[inv_keep], fresh_rows)),
+                np.concatenate((old_items[inv_keep], fresh_items)),
+                np.concatenate((self.inv_values[inv_keep], fresh_values)),
+            ),
+        )
 
     # -- spill ---------------------------------------------------------------
 
@@ -391,7 +431,9 @@ class PackedRatings:
         Raises :class:`~repro.kernels.spill.SpillError` when the spill
         is missing, torn, or disagrees with ``matrix`` — callers fall
         back to the in-memory rebuild recipe then (:func:`attach_spill`
-        automates that).
+        automates that).  The first repack replaces the mapped arrays
+        with fresh in-memory ones; the spill on disk is untouched (and
+        then stale — re-save to refresh it).
         """
         from .spill import open_spill
 
@@ -401,18 +443,9 @@ class PackedRatings:
         packed._dirty = set()
         packed._stale = False
         packed._repack_lock = threading.RLock()
-        packed.user_ids = state["user_ids"]
-        packed.user_index = state["user_index"]
-        packed.item_ids = state["item_ids"]
-        packed.item_index = state["item_index"]
-        packed.row_items = state["row_items"]
-        packed.row_values = state["row_values"]
-        packed.row_devs = state["row_devs"]
-        packed.row_maps = state["row_maps"]
-        packed.means = state["means"]
-        packed.inv_users = state["inv_users"]
-        packed.inv_values = state["inv_values"]
-        packed._num_ratings = state["num_ratings"]
+        for name, value in state.items():
+            setattr(packed, name, value)
+        packed._num_ratings = len(packed.indices)
         packed._version = matrix.version
         packed._removals = matrix.removals
         packed._spill_backed = True

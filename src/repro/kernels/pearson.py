@@ -3,48 +3,95 @@
 Two entry points mirror the dict-path surfaces of
 :class:`~repro.similarity.ratings_sim.PearsonRatingSimilarity`:
 
-* :func:`pearson_pair` — one ``RS(u, u')`` score via a C-speed
-  intersection of the two rows' interned key views;
+* :func:`pearson_pair` — one ``RS(u, u')`` score over the two rows'
+  sorted intersection;
 * :func:`pearson_one_vs_many` — a batched row against many candidates
-  through a **fused inverted-index sweep**: one walk over the user's
-  rated items accumulates, for *every* co-rater at once, the overlap
-  count, the numerator and both squared-deviation sums.  No per-pair
-  set construction, no per-pair merge, no string hashing — the batch
-  costs O(Σ_{i∈I(u)} |U(i)|) regardless of the candidate count.
+  through **one inverted-index gather**: the inverted-index slices of
+  the user's rated items, concatenated in ascending item order, name
+  every co-rating; ``numpy.bincount`` over the rater ints then yields,
+  for *every* co-rater at once, the overlap count, the numerator and
+  both squared-deviation sums.  No per-pair set construction, no
+  per-pair merge, no string hashing — the batch costs
+  O(Σ_{i∈I(u)} |U(i)|) regardless of the candidate count.
 
 Both are **bit-identical** to the dict oracle: packed rows are sorted
 by ascending interned item id, interning follows the matrix's item
 insertion order, and the oracle sums each pair's co-rated terms in
-exactly that order — so every accumulator sees the same floats in the
-same sequence (the sweep hands candidate ``v`` its terms while walking
-``u``'s sorted row, which *is* ascending order over the common items).
+exactly that order.  ``bincount`` adds each bin's weights one at a
+time, in input order, starting from 0.0 — the same float sequence as
+the oracle's ``+=`` loop (``tests/kernels`` pins this against a
+weight sequence where pairwise summation would differ).  ``np.sqrt``
+and division are correctly rounded, like ``math.sqrt`` and ``/``.
+
+The co-rated means of the ``mean_over_common_only`` variant are taken
+with Python's ``sum()``, as the oracle takes them, because ``sum()``
+itself changed its float algorithm in Python 3.12.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from typing import Iterable
 
+import numpy as np
+
 from ..obs import is_enabled, observe_kernel
-from .packed import PackedRatings
+from .packed import INT_DTYPE, PackedRatings, csr_gather, csr_offsets
 
 
-def overlap_counts(packed: PackedRatings, user_int: int) -> list[int]:
+def overlap_counts(packed: PackedRatings, user_int: int) -> np.ndarray:
     """Co-rated item counts of one user against *every* user.
 
-    One walk of the inverted index over the user's rated items; entry
+    One gather of the inverted index over the user's rated items; entry
     ``counts[v]`` is ``|I(u) ∩ I(v)|`` (and ``counts[user_int]`` the
     user's own row length).  Pure integer arithmetic — no float order
-    concerns — and the packed replacement for the dict path's
-    ``iter_raters`` walk.
+    concerns.
     """
-    counts = [0] * packed.num_users
-    inv_users = packed.inv_users
-    for item_int in packed.row_items[user_int]:
-        for rater in inv_users[item_int]:
-            counts[rater] += 1
-    return counts
+    packed.ensure_current()
+    start, end = packed.row_bounds(user_int)
+    positions, _ = csr_gather(packed.inv_ptr, packed.indices[start:end])
+    return np.bincount(packed.inv_users[positions], minlength=packed.num_users)
+
+
+def _correlations(
+    bins: np.ndarray,
+    deviations_a: np.ndarray,
+    deviations_b: np.ndarray,
+    qualifies: np.ndarray,
+) -> np.ndarray:
+    """Equation 2 per bin from per-co-rating deviations (0 where undefined).
+
+    ``bins`` names the pair each co-rating belongs to, in the canonical
+    (ascending item) order within every pair; ``qualifies`` masks the
+    bins that met ``min_common_items``.
+    """
+    count = len(qualifies)
+    numerators = np.bincount(bins, deviations_a * deviations_b, count)
+    sums_sq_a = np.bincount(bins, deviations_a * deviations_a, count)
+    sums_sq_b = np.bincount(bins, deviations_b * deviations_b, count)
+    denominators = np.sqrt(sums_sq_a) * np.sqrt(sums_sq_b)
+    scores = np.zeros(count)
+    np.divide(
+        numerators, denominators, out=scores, where=qualifies & (denominators != 0.0)
+    )
+    return scores
+
+
+def _common_means(
+    bins: np.ndarray, values: np.ndarray, qualifies: np.ndarray
+) -> np.ndarray:
+    """Per-bin mean of ``values`` taken with ``sum()``, as the oracle takes it.
+
+    Entries of one bin are summed in input order.  Bins that do not
+    qualify are left at 0; their scores are discarded anyway.
+    """
+    means = np.zeros(len(qualifies))
+    grouped = values[np.argsort(bins, kind="stable")].tolist()
+    offsets = csr_offsets(bins, len(qualifies)).tolist()
+    for bin_int in np.flatnonzero(qualifies).tolist():
+        start, end = offsets[bin_int], offsets[bin_int + 1]
+        means[bin_int] = sum(grouped[start:end]) / (end - start)
+    return means
 
 
 def _pair_score_ints(
@@ -55,32 +102,28 @@ def _pair_score_ints(
     mean_over_common_only: bool,
 ) -> float:
     """Equation 2 for one interned pair (no self/unknown handling)."""
-    map_a = packed.row_maps[a_int]
-    map_b = packed.row_maps[b_int]
-    common = map_a.keys() & map_b.keys()
-    count = len(common)
-    if count < min_common_items:
+    a_start, a_end = packed.row_bounds(a_int)
+    b_start, b_end = packed.row_bounds(b_int)
+    _, in_a, in_b = np.intersect1d(
+        packed.indices[a_start:a_end],
+        packed.indices[b_start:b_end],
+        assume_unique=True,
+        return_indices=True,
+    )
+    if len(in_a) < min_common_items:
         return 0.0
-    ordered = sorted(common)
+    values_a = packed.values[a_start:a_end][in_a]
+    values_b = packed.values[b_start:b_end][in_b]
     if mean_over_common_only:
-        mean_a = sum(map_a[i] for i in ordered) / count
-        mean_b = sum(map_b[i] for i in ordered) / count
+        mean_a = sum(values_a.tolist()) / len(in_a)
+        mean_b = sum(values_b.tolist()) / len(in_b)
     else:
         mean_a = packed.means[a_int]
         mean_b = packed.means[b_int]
-    numerator = 0.0
-    sum_sq_a = 0.0
-    sum_sq_b = 0.0
-    for item_int in ordered:
-        deviation_a = map_a[item_int] - mean_a
-        deviation_b = map_b[item_int] - mean_b
-        numerator += deviation_a * deviation_b
-        sum_sq_a += deviation_a * deviation_a
-        sum_sq_b += deviation_b * deviation_b
-    denominator = math.sqrt(sum_sq_a) * math.sqrt(sum_sq_b)
-    if denominator == 0.0:
-        return 0.0
-    return numerator / denominator
+    bins = np.zeros(len(in_a), dtype=INT_DTYPE)
+    return float(
+        _correlations(bins, values_a - mean_a, values_b - mean_b, np.ones(1, bool))[0]
+    )
 
 
 def pearson_pair(
@@ -117,12 +160,10 @@ def pearson_one_vs_many(
 ) -> dict[str, float]:
     """Batched ``RS(u, ·)`` against many candidates, packed.
 
-    The paper's variant (full-row means) runs as one fused sweep over
-    the inverted index; the ``mean_over_common_only`` variant needs the
-    overlap known *before* any term can be centered, so it counts
-    overlaps in one sweep and scores the qualifying pairs individually.
-    Candidates equal to ``user_id`` are excluded, everyone else starts
-    at 0.0 — the dict batch contract.
+    One inverted-index gather and a handful of ``bincount`` passes score
+    every co-rater; scores are decoded to the candidates once, at the
+    end.  Candidates equal to ``user_id`` are excluded, everyone else
+    starts at 0.0 — the dict batch contract.
 
     Each call is timed into the default metrics registry as
     ``kernel_ms{kernel="pearson_one_vs_many"}``.
@@ -148,52 +189,34 @@ def _one_vs_many(
     mean_over_common_only: bool,
 ) -> dict[str, float]:
     """The uninstrumented body of :func:`pearson_one_vs_many`."""
-    scores = {candidate: 0.0 for candidate in candidates if candidate != user_id}
-    if not scores:
-        return scores
+    candidate_list = [candidate for candidate in candidates if candidate != user_id]
+    if not candidate_list:
+        return {}
     packed.ensure_current()
-    user_int = packed.user_index.get(user_id)
-    if user_int is None:
-        return scores
     user_index = packed.user_index
+    user_int = user_index.get(user_id)
+    if user_int is None:
+        return dict.fromkeys(candidate_list, 0.0)
+    start, end = packed.row_bounds(user_int)
+    positions, lengths = csr_gather(packed.inv_ptr, packed.indices[start:end])
+    raters = packed.inv_users[positions]
+    rater_values = packed.inv_values[positions]
+    qualifies = (
+        np.bincount(raters, minlength=packed.num_users) >= min_common_items
+    )
     if mean_over_common_only:
-        counts = overlap_counts(packed, user_int)
-        for candidate in scores:
-            candidate_int = user_index.get(candidate)
-            if (
-                candidate_int is not None
-                and counts[candidate_int] >= min_common_items
-            ):
-                scores[candidate] = _pair_score_ints(
-                    packed, user_int, candidate_int, min_common_items, True
-                )
-        return scores
-    num_users = packed.num_users
-    counts = [0] * num_users
-    numerators = [0.0] * num_users
-    sums_sq_a = [0.0] * num_users
-    sums_sq_b = [0.0] * num_users
-    means = packed.means
-    inv_users = packed.inv_users
-    inv_values = packed.inv_values
-    for item_int, deviation_a in zip(
-        packed.row_items[user_int], packed.row_devs[user_int]
-    ):
-        deviation_a_sq = deviation_a * deviation_a
-        for rater, value in zip(inv_users[item_int], inv_values[item_int]):
-            deviation_b = value - means[rater]
-            numerators[rater] += deviation_a * deviation_b
-            sums_sq_a[rater] += deviation_a_sq
-            sums_sq_b[rater] += deviation_b * deviation_b
-            counts[rater] += 1
-    sqrt = math.sqrt
-    for candidate in scores:
-        candidate_int = user_index.get(candidate)
-        if candidate_int is None or counts[candidate_int] < min_common_items:
-            continue
-        denominator = sqrt(sums_sq_a[candidate_int]) * sqrt(
-            sums_sq_b[candidate_int]
+        own_values = np.repeat(packed.values[start:end], lengths)
+        deviations_a = own_values - _common_means(raters, own_values, qualifies)[raters]
+        deviations_b = (
+            rater_values - _common_means(raters, rater_values, qualifies)[raters]
         )
-        if denominator != 0.0:
-            scores[candidate] = numerators[candidate_int] / denominator
-    return scores
+    else:
+        deviations_a = np.repeat(packed.devs[start:end], lengths)
+        deviations_b = rater_values - packed.means[raters]
+    scores = _correlations(raters, deviations_a, deviations_b, qualifies).tolist()
+    return {
+        candidate: scores[candidate_int] if candidate_int is not None else 0.0
+        for candidate, candidate_int in zip(
+            candidate_list, map(user_index.get, candidate_list)
+        )
+    }

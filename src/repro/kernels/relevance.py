@@ -1,47 +1,97 @@
-"""Packed prediction kernels (Equation 1 over the inverted index).
+"""Packed prediction kernels (Equation 1 over the CSR rows).
 
-:func:`predict_table_packed` is the layout-first replacement for
-:func:`repro.core.relevance.predict_table` on the serving layer's
-single-user path: instead of copying a ``{user: rating}`` dict per
-candidate item (``matrix.users_of``) and hashing peer-id *strings*
-against it, the kernel stamps the item's raters into a reusable
-per-user scratch array and walks the peer list as interned ints.
+All three kernels share one computation: the peers' CSR rows are
+gathered in peer order and two ``numpy.bincount`` passes over their
+item ints give every item's Equation-1 numerator (``Σ sim · rating``)
+and denominator (``Σ sim``) at once.  They differ only in what they
+emit:
 
-Two variants avoid ever *decoding* the candidate set:
-
+* :func:`predict_table_packed` — the scores of a given string candidate
+  list, the drop-in replacement for
+  :func:`repro.core.relevance.predict_table`;
 * :func:`predict_row_packed` — the full unrated row of one user, with
   candidates enumerated directly in intern space (no string candidate
   list in, one decode per emitted score out).  This is the serving
-  layer's relevance-row kernel; it removed a latent double decode where
-  candidate ids were rendered to strings only for the prediction call
-  to re-intern them.
-* :func:`predict_topk_packed` — the same row, emitted straight into a
-  bounded heap of size ``k`` instead of materialising the full score
-  dict; the heap orders by the pinned score-desc/item-asc tie-break, so
-  its output equals ``rank_items(predict_row_packed(...), k)``.
-
-Each kernel picks between two inner-loop strategies per call (see
-:func:`_probe_beats_stamp`): stamping the item's raters into a scratch
-array, or probing each peer's own row map.  Stamping amortises when the
-peer set is huge; probing is immune to item popularity, which matters
-once a bounded ``max_peers`` peer set meets a Zipf-headed catalogue at
-10⁵+ users.
+  layer's relevance-row kernel;
+* :func:`predict_topk_packed` — the same row cut to its top ``k`` under
+  the pinned score-desc/item-asc tie-break, so its output equals
+  ``rank_items(predict_row_packed(...), k)`` without decoding or
+  sorting the whole row.
 
 Bit-identity with the dict path holds because the accumulation order is
-the *peer* order (the dict path iterates ``peer_similarities`` and
-probes each peer's rating; so do the kernels), and stamping/probing only
-changes how "did this peer rate it?" is answered, not which floats are
-summed.
+the *peer* order: the dict path iterates ``peer_similarities`` and adds
+each peer's term, and ``bincount`` adds each item's terms one at a
+time, in input order — which is peer order, since every peer's row
+holds an item at most once.
 """
 
 from __future__ import annotations
 
-import heapq
 import time
 from typing import Mapping, Sequence
 
-from ..obs import is_enabled, observe_kernel
-from .packed import PackedRatings
+import numpy as np
+
+from ..obs import observe_kernel
+from .packed import FLOAT_DTYPE, INT_DTYPE, PackedRatings, csr_gather
+
+
+def _equation1(
+    packed: PackedRatings, peer_similarities: Mapping[str, float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-item Equation-1 ``(numerators, denominators)`` over every item.
+
+    Peers unknown to the matrix never rated anything, so dropping them
+    up front changes no sum.  The caller holds a current view.
+    """
+    user_index = packed.user_index
+    known = [
+        (peer_int, similarity)
+        for peer_int, similarity in zip(
+            map(user_index.get, peer_similarities), peer_similarities.values()
+        )
+        if peer_int is not None
+    ]
+    peer_ints = np.array([peer_int for peer_int, _ in known], dtype=INT_DTYPE)
+    similarities = np.array([similarity for _, similarity in known], dtype=FLOAT_DTYPE)
+    positions, lengths = csr_gather(packed.indptr, peer_ints)
+    items = packed.indices[positions]
+    weights = np.repeat(similarities, lengths)
+    numerators = np.bincount(
+        items, weights * packed.values[positions], packed.num_items
+    )
+    denominators = np.bincount(items, weights, packed.num_items)
+    return numerators, denominators
+
+
+def _unrated_scores(
+    packed: PackedRatings,
+    user_id: str,
+    peer_similarities: Mapping[str, float],
+    default_score: float | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(item_ints, scores)`` of every item the user has not rated.
+
+    Ascending item ints; items whose prediction is undefined (no peer
+    rated them, or zero similarity mass) are dropped, or scored
+    ``default_score`` when one is given.
+    """
+    packed.ensure_current()
+    numerators, denominators = _equation1(packed, peer_similarities)
+    emit = np.ones(packed.num_items, dtype=bool)
+    user_int = packed.user_index.get(user_id)
+    if user_int is not None:
+        start, end = packed.row_bounds(user_int)
+        emit[packed.indices[start:end]] = False
+    defined = denominators != 0.0
+    if default_score is None:
+        emit &= defined
+        scores = np.zeros(packed.num_items)
+    else:
+        scores = np.full(packed.num_items, default_score, dtype=FLOAT_DTYPE)
+    np.divide(numerators, denominators, out=scores, where=defined)
+    item_ints = np.flatnonzero(emit)
+    return item_ints, scores[item_ints]
 
 
 def predict_table_packed(
@@ -61,135 +111,38 @@ def predict_table_packed(
     Each call is timed into the default metrics registry as
     ``kernel_ms{kernel="predict_table_packed"}``.
     """
-    if not is_enabled():
-        return _predict_table(
-            packed, user_id, peer_similarities, candidate_items, default_score
-        )
     started = time.perf_counter()
-    try:
-        return _predict_table(
-            packed, user_id, peer_similarities, candidate_items, default_score
-        )
-    finally:
-        observe_kernel("predict_table_packed", started)
-
-
-def _predict_table(
-    packed: PackedRatings,
-    user_id: str,
-    peer_similarities: Mapping[str, float],
-    candidate_items: Sequence[str],
-    default_score: float | None,
-) -> dict[str, float]:
-    """The uninstrumented body of :func:`predict_table_packed`."""
     packed.ensure_current()
+    numerators, denominators = _equation1(packed, peer_similarities)
+    defined = denominators != 0.0
+    scores = np.divide(
+        numerators, denominators, out=np.zeros(packed.num_items), where=defined
+    ).tolist()
+    defined = defined.tolist()
     user_int = packed.user_index.get(user_id)
-    own_ratings: dict[int, float] = (
-        packed.row_maps[user_int] if user_int is not None else {}
-    )
-    # Resolve the peers to ints once, keeping the mapping's iteration
-    # order — that order is the dict path's accumulation order.  Peers
-    # unknown to the matrix never rated anything, so dropping them up
-    # front skips probes the dict path would answer with None anyway.
-    user_index = packed.user_index
-    peer_ints: list[tuple[int, float]] = []
-    for peer_id, similarity in peer_similarities.items():
-        peer_int = user_index.get(peer_id)
-        if peer_int is not None:
-            peer_ints.append((peer_int, similarity))
+    own: dict[int, float] = {}
+    if user_int is not None:
+        start, end = packed.row_bounds(user_int)
+        own = dict(
+            zip(packed.indices[start:end].tolist(), packed.values[start:end].tolist())
+        )
     item_index = packed.item_index
-    probe = _probe_beats_stamp(packed, len(peer_ints), len(candidate_items))
-    if probe:
-        row_maps = packed.row_maps
-        peer_rows = [(sim, row_maps[peer_int]) for peer_int, sim in peer_ints]
-    else:
-        inv_users = packed.inv_users
-        inv_values = packed.inv_values
-        # Stamp scratch, allocated per call: the serving layer runs batch
-        # requests as concurrent readers (thread backend), so this state
-        # must not be shared — a second caller's token would invalidate a
-        # first caller's stamps mid-item.  Per *item* the token trick
-        # still avoids O(users) clearing.
-        stamp = [0] * packed.num_users
-        value = [0.0] * packed.num_users
-    token = 0
     predictions: dict[str, float] = {}
     for item_id in candidate_items:
         item_int = item_index.get(item_id)
         if item_int is not None:
-            existing = own_ratings.get(item_int)
+            existing = own.get(item_int)
             if existing is not None:
                 predictions[item_id] = existing
                 continue
-            numerator = 0.0
-            denominator = 0.0
-            if probe:
-                for similarity, peer_row in peer_rows:
-                    rating = peer_row.get(item_int)
-                    if rating is not None:
-                        numerator += similarity * rating
-                        denominator += similarity
-            else:
-                token += 1
-                raters = inv_users[item_int]
-                ratings = inv_values[item_int]
-                for position, rater in enumerate(raters):
-                    stamp[rater] = token
-                    value[rater] = ratings[position]
-                for peer_int, similarity in peer_ints:
-                    if stamp[peer_int] == token:
-                        numerator += similarity * value[peer_int]
-                        denominator += similarity
-            if denominator != 0.0:
-                predictions[item_id] = numerator / denominator
+            if defined[item_int]:
+                predictions[item_id] = scores[item_int]
                 continue
         # Unknown item, or an undefined prediction.
         if default_score is not None:
             predictions[item_id] = default_score
+    observe_kernel("predict_table_packed", started)
     return predictions
-
-
-def _probe_beats_stamp(
-    packed: PackedRatings, num_peers: int, num_candidates: int
-) -> bool:
-    """Pick the Equation-1 inner-loop strategy for one prediction call.
-
-    Two bit-identical ways to answer "did this peer rate this item?"
-    exist (both accumulate in peer order, so the float sums match):
-
-    * **stamp** — mark every rater of the item in a scratch array,
-      then read the peers' marks: O(Σ|U(i)|) stamping over the
-      candidate items plus O(peers) reads per item.  Wins when the
-      peer set is a large fraction of the user base.
-    * **probe** — look each item up in every peer's own (int-keyed)
-      row map: O(peers) dict probes per item, independent of item
-      popularity.  Wins when a bounded peer set (``max_peers``) meets
-      a Zipf-headed catalogue, where stamping degenerates to touching
-      nearly every rating in the matrix per row.
-
-    The stamping total over a full row is about ``num_ratings``; a
-    probe costs roughly two array reads.  Hence: probe when
-    ``2 · peers · candidates < num_ratings``.
-    """
-    return 2 * num_peers * num_candidates < packed._num_ratings
-
-
-def _resolve_peers(
-    packed: PackedRatings, peer_similarities: Mapping[str, float]
-) -> list[tuple[int, float]]:
-    """Peer ids interned once, preserving the mapping's iteration order.
-
-    That order is the dict path's accumulation order; peers unknown to
-    the matrix never rated anything, so dropping them up front skips
-    probes the dict path would answer with ``None`` anyway.
-    """
-    user_index = packed.user_index
-    peer_ints: list[tuple[int, float]] = []
-    for peer_id, similarity in peer_similarities.items():
-        peer_int = user_index.get(peer_id)
-        if peer_int is not None:
-            peer_ints.append((peer_int, similarity))
-    return peer_ints
 
 
 def predict_row_packed(
@@ -208,80 +161,15 @@ def predict_row_packed(
     exactly once.  Timed as ``kernel_ms{kernel="predict_row_packed"}``.
     """
     started = time.perf_counter()
-    packed.ensure_current()
-    user_int = packed.user_index.get(user_id)
-    own_ratings: dict[int, float] = (
-        packed.row_maps[user_int] if user_int is not None else {}
+    item_ints, scores = _unrated_scores(
+        packed, user_id, peer_similarities, default_score
     )
-    peer_ints = _resolve_peers(packed, peer_similarities)
     item_ids = packed.item_ids
-    predictions: dict[str, float] = {}
-    if _probe_beats_stamp(packed, len(peer_ints), packed.num_items):
-        row_maps = packed.row_maps
-        peer_rows = [(sim, row_maps[peer_int]) for peer_int, sim in peer_ints]
-        for item_int in range(packed.num_items):
-            if item_int in own_ratings:
-                continue
-            numerator = 0.0
-            denominator = 0.0
-            for similarity, peer_row in peer_rows:
-                rating = peer_row.get(item_int)
-                if rating is not None:
-                    numerator += similarity * rating
-                    denominator += similarity
-            if denominator != 0.0:
-                predictions[item_ids[item_int]] = numerator / denominator
-            elif default_score is not None:
-                predictions[item_ids[item_int]] = default_score
-        observe_kernel("predict_row_packed", started)
-        return predictions
-    inv_users = packed.inv_users
-    inv_values = packed.inv_values
-    stamp = [0] * packed.num_users
-    value = [0.0] * packed.num_users
-    token = 0
-    for item_int in range(packed.num_items):
-        if item_int in own_ratings:
-            continue
-        token += 1
-        raters = inv_users[item_int]
-        ratings = inv_values[item_int]
-        for position, rater in enumerate(raters):
-            stamp[rater] = token
-            value[rater] = ratings[position]
-        numerator = 0.0
-        denominator = 0.0
-        for peer_int, similarity in peer_ints:
-            if stamp[peer_int] == token:
-                numerator += similarity * value[peer_int]
-                denominator += similarity
-        if denominator != 0.0:
-            predictions[item_ids[item_int]] = numerator / denominator
-        elif default_score is not None:
-            predictions[item_ids[item_int]] = default_score
+    predictions = dict(
+        zip(map(item_ids.__getitem__, item_ints.tolist()), scores.tolist())
+    )
     observe_kernel("predict_row_packed", started)
     return predictions
-
-
-class _HeapEntry:
-    """A candidate in the bounded top-k heap.
-
-    ``heapq`` keeps the *smallest* entry at the root, so "smallest"
-    must mean "worst under the pinned ranking": lower score first, and
-    among equal scores the lexicographically larger item id (ascending
-    item id wins ties in the ranking, so the larger id is worse).
-    """
-
-    __slots__ = ("score", "item_id")
-
-    def __init__(self, score: float, item_id: str) -> None:
-        self.score = score
-        self.item_id = item_id
-
-    def __lt__(self, other: "_HeapEntry") -> bool:
-        if self.score != other.score:
-            return self.score < other.score
-        return self.item_id > other.item_id
 
 
 def predict_topk_packed(
@@ -291,15 +179,14 @@ def predict_topk_packed(
     k: int,
     default_score: float | None = None,
 ) -> list[tuple[str, float]]:
-    """Top-``k`` of the user's unrated row, emitted straight into a heap.
+    """Top-``k`` of the user's unrated row.
 
     Returns ``(item_id, score)`` pairs in ranking order — exactly
     ``[(s.item_id, s.score) for s in
-    rank_items(predict_row_packed(...), k)]`` — without materialising
-    the full score dict: each candidate either displaces the heap root
-    or is dropped on the spot.  Item ids are unique, so the pinned
-    (score desc, item asc) ranking is a total order and heap selection
-    is trivially equal to sort-then-slice, ties included.  Timed as
+    rank_items(predict_row_packed(...), k)]``.  Only the items scoring
+    at least the ``k``-th best score are decoded and sorted; every item
+    tied with that score is among them, so the (score desc, item asc)
+    tie-break is applied exactly as a full sort would.  Timed as
     ``kernel_ms{kernel="predict_topk_packed"}``.
     """
     started = time.perf_counter()
@@ -307,60 +194,17 @@ def predict_topk_packed(
     if k <= 0:
         observe_kernel("predict_topk_packed", started)
         return []
-    user_int = packed.user_index.get(user_id)
-    own_ratings: dict[int, float] = (
-        packed.row_maps[user_int] if user_int is not None else {}
+    item_ints, scores = _unrated_scores(
+        packed, user_id, peer_similarities, default_score
     )
-    peer_ints = _resolve_peers(packed, peer_similarities)
+    if len(scores) > k:
+        kth_best = np.partition(scores, len(scores) - k)[len(scores) - k]
+        contenders = scores >= kth_best
+        item_ints, scores = item_ints[contenders], scores[contenders]
     item_ids = packed.item_ids
-    probe = _probe_beats_stamp(packed, len(peer_ints), packed.num_items)
-    if probe:
-        row_maps = packed.row_maps
-        peer_rows = [(sim, row_maps[peer_int]) for peer_int, sim in peer_ints]
-    else:
-        inv_users = packed.inv_users
-        inv_values = packed.inv_values
-        stamp = [0] * packed.num_users
-        value = [0.0] * packed.num_users
-    token = 0
-    heap: list[_HeapEntry] = []
-    for item_int in range(packed.num_items):
-        if item_int in own_ratings:
-            continue
-        numerator = 0.0
-        denominator = 0.0
-        if probe:
-            for similarity, peer_row in peer_rows:
-                rating = peer_row.get(item_int)
-                if rating is not None:
-                    numerator += similarity * rating
-                    denominator += similarity
-        else:
-            token += 1
-            raters = inv_users[item_int]
-            ratings = inv_values[item_int]
-            for position, rater in enumerate(raters):
-                stamp[rater] = token
-                value[rater] = ratings[position]
-            for peer_int, similarity in peer_ints:
-                if stamp[peer_int] == token:
-                    numerator += similarity * value[peer_int]
-                    denominator += similarity
-        if denominator != 0.0:
-            score = numerator / denominator
-        elif default_score is not None:
-            score = default_score
-        else:
-            continue
-        if len(heap) < k:
-            heapq.heappush(heap, _HeapEntry(score, item_ids[item_int]))
-        else:
-            root = heap[0]
-            item_id = item_ids[item_int]
-            if score > root.score or (
-                score == root.score and item_id < root.item_id
-            ):
-                heapq.heapreplace(heap, _HeapEntry(score, item_id))
-    ranked = sorted(heap, key=lambda entry: (-entry.score, entry.item_id))
+    ranked = sorted(
+        zip(map(item_ids.__getitem__, item_ints.tolist()), scores.tolist()),
+        key=lambda pair: (-pair[1], pair[0]),
+    )
     observe_kernel("predict_topk_packed", started)
-    return [(entry.item_id, entry.score) for entry in ranked]
+    return ranked[:k]

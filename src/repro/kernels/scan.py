@@ -16,8 +16,9 @@ Bit-identity with the dict path holds because the packed intern order
 from __future__ import annotations
 
 import time
-from array import array
 from typing import Iterable
+
+import numpy as np
 
 from ..obs import observe_kernel
 from .packed import PackedRatings
@@ -25,7 +26,7 @@ from .packed import PackedRatings
 
 def candidate_ints_unrated_by_all(
     packed: PackedRatings, member_ids: Iterable[str]
-) -> array:
+) -> np.ndarray:
     """Item ints (ascending = intern order) no listed member has rated.
 
     Members unknown to the matrix rated nothing and are skipped, which
@@ -35,18 +36,15 @@ def candidate_ints_unrated_by_all(
     """
     packed.ensure_current()
     started = time.perf_counter()
-    rated = bytearray(packed.num_items)
+    rated = np.zeros(packed.num_items, dtype=bool)
     user_index = packed.user_index
-    row_items = packed.row_items
     for member_id in member_ids:
         member_int = user_index.get(member_id)
         if member_int is None:
             continue
-        for item_int in row_items[member_int]:
-            rated[item_int] = 1
-    result = array(
-        "l", (item_int for item_int, hit in enumerate(rated) if not hit)
-    )
+        start, end = packed.row_bounds(member_int)
+        rated[packed.indices[start:end]] = True
+    result = np.flatnonzero(~rated)
     observe_kernel("candidate_scan", started)
     return result
 
@@ -61,5 +59,4 @@ def items_unrated_by_all_packed(
     and decoded once.
     """
     ints = candidate_ints_unrated_by_all(packed, member_ids)
-    item_ids = packed.item_ids
-    return [item_ids[item_int] for item_int in ints]
+    return list(map(packed.item_ids.__getitem__, ints.tolist()))

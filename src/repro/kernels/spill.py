@@ -1,10 +1,10 @@
 """On-disk spill of the packed CSR layout, opened read-only via ``mmap``.
 
-:meth:`~repro.kernels.packed.PackedRatings.save` flattens the per-user /
-per-item CSR rows into a handful of binary array files plus a
-fingerprinted ``manifest.json``;
+:meth:`~repro.kernels.packed.PackedRatings.save` writes the flat CSR
+arrays, one binary file each, plus a fingerprinted ``manifest.json``;
 :meth:`~repro.kernels.packed.PackedRatings.open_mmap` maps those files
-back as zero-copy ``memoryview`` slices.  The point is worker
+back as zero-copy, read-only ``ndarray`` views (``np.frombuffer`` over
+an ``mmap``), so the kernels run over them unchanged.  The point is worker
 bootstrap: a pool worker that opens the spill shares one page-cache
 copy of the arrays with every sibling and never receives the packed
 state over a pipe — ``pool_stats()``'s ``bootstrap_bytes`` shows the
@@ -15,14 +15,17 @@ Layout of a spill directory::
     manifest.json     format/version, counts, fingerprint, file sizes
     users.json        interned user ids, insertion order
     items.json        interned item ids, insertion order
-    row_offsets.bin   int64 CSR offsets, len num_users + 1
-    row_items.bin     item ints, all user rows concatenated
-    row_values.bin    raw ratings, parallel to row_items
-    row_devs.bin      centred deviations, parallel to row_items
-    means.bin         per-user means
-    inv_offsets.bin   int64 CSR offsets, len num_items + 1
-    inv_users.bin     rater ints, all item columns concatenated
-    inv_values.bin    raw ratings, parallel to inv_users
+    row_offsets.bin   indptr: int64 CSR offsets, len num_users + 1
+    row_items.bin     indices: int64 item ints, all user rows concatenated
+    row_values.bin    values: raw ratings, parallel to row_items
+    row_devs.bin      devs: centred deviations, parallel to row_items
+    means.bin         means: per-user means
+    inv_offsets.bin   inv_ptr: int64 CSR offsets, len num_items + 1
+    inv_users.bin     inv_users: int64 rater ints, all item columns concatenated
+    inv_values.bin    inv_values: raw ratings, parallel to inv_users
+
+Each file is the raw bytes of the ``PackedRatings`` array named after
+the colon, in native byte order (recorded in the manifest).
 
 Writes mirror the PR-3 snapshot discipline: every file is written to a
 temporary name and atomically renamed, and the manifest is written
@@ -33,10 +36,11 @@ matrix (full id-list compare) and a deterministic sample of rows
 against the matrix values; any disagreement raises :class:`SpillError`
 so the caller can fall back to the in-memory rebuild recipe.
 
-A spill-backed view is read-only: the first mutation the owner tells it
-about (``mark_dirty`` + ``ensure_current``) *downgrades* it by copying
-every structure into ordinary writable arrays, after which the normal
-incremental repack proceeds.  See ``PackedRatings._materialize``.
+A spill-backed view is read-only, and needs nothing else: no repack
+writes into an array, so the first mutation the owner tells it about
+(``mark_dirty`` + ``ensure_current``) splices the dirty rows into fresh
+in-memory arrays like any other repack, and the view stops being
+spill-backed.
 """
 
 from __future__ import annotations
@@ -45,30 +49,37 @@ import hashlib
 import json
 import mmap
 import os
-from array import array
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
+
+import numpy as np
 
 from ..exceptions import SerializationError
+from .packed import FLOAT_DTYPE, INT_DTYPE
 
 #: Identifies the spill layout; bump on incompatible changes.
 SPILL_FORMAT = "repro.packed-spill"
-SPILL_VERSION = 1
+SPILL_VERSION = 2
 
 #: Manifest file name inside a spill directory.
 SPILL_MANIFEST_NAME = "manifest.json"
 
-#: Binary array files and their :mod:`array` typecodes.
-_ARRAY_FILES: tuple[tuple[str, str], ...] = (
-    ("row_offsets.bin", "q"),
-    ("row_items.bin", "l"),
-    ("row_values.bin", "d"),
-    ("row_devs.bin", "d"),
-    ("means.bin", "d"),
-    ("inv_offsets.bin", "q"),
-    ("inv_users.bin", "l"),
-    ("inv_values.bin", "d"),
+#: Binary array files, the ``PackedRatings`` attribute each holds, and
+#: its dtype.
+_ARRAY_FILES: tuple[tuple[str, str, np.dtype], ...] = (
+    ("row_offsets.bin", "indptr", INT_DTYPE),
+    ("row_items.bin", "indices", INT_DTYPE),
+    ("row_values.bin", "values", FLOAT_DTYPE),
+    ("row_devs.bin", "devs", FLOAT_DTYPE),
+    ("means.bin", "means", FLOAT_DTYPE),
+    ("inv_offsets.bin", "inv_ptr", INT_DTYPE),
+    ("inv_users.bin", "inv_users", INT_DTYPE),
+    ("inv_values.bin", "inv_values", FLOAT_DTYPE),
 )
+
+#: Manifest entry pinning the byte layout of the array files; a spill
+#: written with another byte order or dtype is refused.
+_DTYPES = {"int": INT_DTYPE.str, "float": FLOAT_DTYPE.str}
 
 #: Stride of the row-sample validation in :func:`open_spill`: one in
 #: every ``_SAMPLE_STRIDE`` user rows is value-compared against the
@@ -93,17 +104,14 @@ def _ids_digest(ids: list[str]) -> str:
     return hashlib.sha256(joined.encode("utf-8")).hexdigest()[:16]
 
 
-def _values_digest(rows: Any) -> str:
-    """Digest of every row's raw rating bytes, in row order.
+def _values_digest(values: np.ndarray) -> str:
+    """Digest of the flat raw rating bytes (rows in order).
 
     Catches the one staleness mode shape checks cannot: an in-place
     value overwrite that leaves counts and interning tables untouched.
     C-speed (``tobytes`` + sha256), so cheap relative to a save.
     """
-    digest = hashlib.sha256()
-    for row in rows:
-        digest.update(row.tobytes())
-    return digest.hexdigest()[:16]
+    return hashlib.sha256(values.tobytes()).hexdigest()[:16]
 
 
 def spill_fingerprint_of(
@@ -157,18 +165,6 @@ def peek_fingerprint(directory: str | Path) -> str | None:
     return fingerprint if isinstance(fingerprint, str) else None
 
 
-def _flatten(rows: Any, typecode: str) -> tuple[array, array]:
-    """Concatenate per-int CSR rows into ``(offsets, flat)`` arrays."""
-    offsets = array("q", [0])
-    flat = array(typecode)
-    total = 0
-    for row in rows:
-        flat.extend(row)
-        total += len(row)
-        offsets.append(total)
-    return offsets, flat
-
-
 def write_spill(packed: Any, directory: str | Path) -> str:
     """Serialise ``packed`` (a current ``PackedRatings``) to ``directory``.
 
@@ -184,25 +180,13 @@ def write_spill(packed: Any, directory: str | Path) -> str:
         packed._num_ratings,
         packed.user_ids,
         packed.item_ids,
-        _values_digest(packed.row_values),
+        _values_digest(packed.values),
     )
     if peek_fingerprint(target) == fingerprint:
         return fingerprint
-    row_offsets, flat_items = _flatten(packed.row_items, "l")
-    _, flat_values = _flatten(packed.row_values, "d")
-    _, flat_devs = _flatten(packed.row_devs, "d")
-    means = array("d", packed.means)
-    inv_offsets, flat_inv_users = _flatten(packed.inv_users, "l")
-    _, flat_inv_values = _flatten(packed.inv_values, "d")
     blobs: dict[str, bytes] = {
-        "row_offsets.bin": row_offsets.tobytes(),
-        "row_items.bin": flat_items.tobytes(),
-        "row_values.bin": flat_values.tobytes(),
-        "row_devs.bin": flat_devs.tobytes(),
-        "means.bin": means.tobytes(),
-        "inv_offsets.bin": inv_offsets.tobytes(),
-        "inv_users.bin": flat_inv_users.tobytes(),
-        "inv_values.bin": flat_inv_values.tobytes(),
+        name: getattr(packed, attribute).tobytes()
+        for name, attribute, _ in _ARRAY_FILES
     }
     for name, blob in blobs.items():
         _atomic_write_bytes(target / name, blob)
@@ -215,72 +199,15 @@ def write_spill(packed: Any, directory: str | Path) -> str:
         "num_users": packed.num_users,
         "num_items": packed.num_items,
         "num_ratings": packed._num_ratings,
-        "long_size": array("l").itemsize,
+        "dtypes": _DTYPES,
         "files": {name: len(blob) for name, blob in blobs.items()},
     }
     _atomic_write_json(target / SPILL_MANIFEST_NAME, manifest)
     return fingerprint
 
 
-class _SpillRows:
-    """Lazy list-like CSR rows over one flat mmap'd array.
-
-    ``rows[i]`` is a zero-copy ``memoryview`` slice; iterating it
-    yields plain ints/floats exactly like the in-memory ``array`` rows,
-    so the kernels run unchanged over either representation.
-    """
-
-    __slots__ = ("_offsets", "_flat")
-
-    def __init__(self, offsets: Any, flat: Any) -> None:
-        self._offsets = offsets
-        self._flat = flat
-
-    def __len__(self) -> int:
-        return len(self._offsets) - 1
-
-    def __getitem__(self, index: int) -> Any:
-        if index < 0:
-            raise IndexError(index)
-        return self._flat[self._offsets[index] : self._offsets[index + 1]]
-
-    def __iter__(self) -> Iterator[Any]:
-        for index in range(len(self)):
-            yield self[index]
-
-
-class _SpillRowMaps:
-    """Lazy per-user ``{item_int: value}`` dicts over spill rows.
-
-    Built on first access and memoised: the prediction kernels probe
-    only the requesting user's map, so at most the actively-served
-    users ever materialise a dict.
-    """
-
-    __slots__ = ("_items", "_values", "_cache")
-
-    def __init__(self, items: _SpillRows, values: _SpillRows) -> None:
-        self._items = items
-        self._values = values
-        self._cache: dict[int, dict[int, float]] = {}
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __getitem__(self, index: int) -> dict[int, float]:
-        got = self._cache.get(index)
-        if got is None:
-            got = dict(zip(self._items[index], self._values[index]))
-            self._cache[index] = got
-        return got
-
-    def __iter__(self) -> Iterator[dict[int, float]]:
-        for index in range(len(self)):
-            yield self[index]
-
-
-def _map_file(path: Path, typecode: str, expected_bytes: int) -> Any:
-    """``mmap`` one array file read-only and cast it to ``typecode``."""
+def _map_file(path: Path, dtype: np.dtype, expected_bytes: int) -> np.ndarray:
+    """``mmap`` one array file read-only as a ``dtype`` array."""
     try:
         size = path.stat().st_size
     except OSError as exc:
@@ -290,18 +217,20 @@ def _map_file(path: Path, typecode: str, expected_bytes: int) -> Any:
             f"spill file {path} is {size} bytes, manifest says "
             f"{expected_bytes}; the spill is torn or from another save"
         )
+    if size % dtype.itemsize:
+        raise SpillError(f"spill file {path} is not a whole number of {dtype} items")
     if size == 0:
-        return memoryview(b"").cast(typecode)
+        return np.empty(0, dtype=dtype)
     with open(path, "rb") as handle:
         mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-    return memoryview(mapped).cast(typecode)
+    return np.frombuffer(mapped, dtype=dtype)
 
 
 def open_spill(directory: str | Path, matrix: Any) -> dict[str, Any]:
     """Open and validate the spill at ``directory`` against ``matrix``.
 
-    Returns the packed structures as a name → object dict for
-    ``PackedRatings.open_mmap`` to adopt.  Raises :class:`SpillError`
+    Returns the packed structures as an attribute name → object dict
+    for ``PackedRatings.open_mmap`` to adopt.  Raises :class:`SpillError`
     when anything — manifest, sizes, interning tables, or the sampled
     row values — disagrees with the live matrix.
     """
@@ -323,9 +252,10 @@ def open_spill(directory: str | Path, matrix: Any) -> dict[str, Any]:
             f"spill layout version {manifest.get('version')!r} unsupported "
             f"(expected {SPILL_VERSION})"
         )
-    if manifest.get("long_size") != array("l").itemsize:
+    if manifest.get("dtypes") != _DTYPES:
         raise SpillError(
-            "spill was written on a platform with a different C long size"
+            "spill was written with another array byte order or dtype "
+            f"({manifest.get('dtypes')!r}, expected {_DTYPES!r})"
         )
     try:
         user_ids = json.loads((target / "users.json").read_text("utf-8"))
@@ -350,35 +280,37 @@ def open_spill(directory: str | Path, matrix: Any) -> dict[str, Any]:
             f"{matrix.num_ratings}r)"
         )
     sizes = manifest.get("files") or {}
-    views: dict[str, Any] = {}
-    for name, typecode in _ARRAY_FILES:
+    arrays: dict[str, np.ndarray] = {}
+    for name, attribute, dtype in _ARRAY_FILES:
         declared = sizes.get(name)
         if not isinstance(declared, int):
             raise SpillError(f"spill manifest {manifest_path} misses file {name}")
-        views[name] = _map_file(target / name, typecode, declared)
+        arrays[attribute] = _map_file(target / name, dtype, declared)
     num_users = len(user_ids)
     num_items = len(item_ids)
     num_ratings = matrix.num_ratings
+    indptr = arrays["indptr"]
+    inv_ptr = arrays["inv_ptr"]
     if (
-        len(views["row_offsets.bin"]) != num_users + 1
-        or len(views["inv_offsets.bin"]) != num_items + 1
-        or len(views["row_items.bin"]) != num_ratings
-        or len(views["means.bin"]) != num_users
-        or len(views["inv_users.bin"]) != num_ratings
+        len(indptr) != num_users + 1
+        or len(inv_ptr) != num_items + 1
+        or indptr[-1] != num_ratings
+        or inv_ptr[-1] != num_ratings
+        or len(arrays["indices"]) != num_ratings
+        or len(arrays["means"]) != num_users
+        or len(arrays["inv_users"]) != num_ratings
     ):
         raise SpillError(
             f"spill {target} array lengths disagree with its manifest counts"
         )
-    row_items = _SpillRows(views["row_offsets.bin"], views["row_items.bin"])
-    row_values = _SpillRows(views["row_offsets.bin"], views["row_values.bin"])
-    row_devs = _SpillRows(views["row_offsets.bin"], views["row_devs.bin"])
-    inv_users = _SpillRows(views["inv_offsets.bin"], views["inv_users.bin"])
-    inv_values = _SpillRows(views["inv_offsets.bin"], views["inv_values.bin"])
     item_index = {item_id: index for index, item_id in enumerate(item_ids)}
+    indices = arrays["indices"]
+    values = arrays["values"]
     for user_int in range(0, num_users, _SAMPLE_STRIDE):
         row = matrix.items_of(user_ids[user_int])
         expected = {item_index[item_id]: value for item_id, value in row.items()}
-        actual = dict(zip(row_items[user_int], row_values[user_int]))
+        start, end = int(indptr[user_int]), int(indptr[user_int + 1])
+        actual = dict(zip(indices[start:end].tolist(), values[start:end].tolist()))
         if expected != actual:
             raise SpillError(
                 f"spill {target} row for user {user_ids[user_int]!r} "
@@ -389,12 +321,5 @@ def open_spill(directory: str | Path, matrix: Any) -> dict[str, Any]:
         "user_index": {uid: index for index, uid in enumerate(user_ids)},
         "item_ids": item_ids,
         "item_index": item_index,
-        "row_items": row_items,
-        "row_values": row_values,
-        "row_devs": row_devs,
-        "row_maps": _SpillRowMaps(row_items, row_values),
-        "means": views["means.bin"],
-        "inv_users": inv_users,
-        "inv_values": inv_values,
-        "num_ratings": num_ratings,
+        **arrays,
     }

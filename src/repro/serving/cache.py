@@ -17,7 +17,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterable
+from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from ..obs import MetricsRegistry
 from ..similarity.base import UserSimilarity
@@ -172,6 +172,64 @@ class ScoreCache:
                 self._entries.popitem(last=False)
                 self._evictions.inc()
 
+    def get_many(self, keys: Sequence[Hashable], default: Any = None) -> list[Any]:
+        """:meth:`get` for many keys under one lock round trip.
+
+        Returns the values in key order, ``default`` for each miss.
+        Hits, misses and LRU moves are exactly those of ``len(keys)``
+        :meth:`get` calls; the counters are bumped once per batch.
+        """
+        if self.capacity <= 0:
+            if keys:
+                self._misses.inc(len(keys))
+            return [default] * len(keys)
+        found: list[Any] = []
+        hits = 0
+        with self._lock:
+            entries = self._entries
+            for key in keys:
+                value = entries.get(key, _MISS)
+                if value is _MISS:
+                    found.append(default)
+                else:
+                    entries.move_to_end(key)
+                    hits += 1
+                    found.append(value)
+        if hits:
+            self._hits.inc(hits)
+        if hits < len(keys):
+            self._misses.inc(len(keys) - hits)
+        return found
+
+    def put_many(
+        self, items: Iterable[tuple[Hashable, Any]], epoch: int | None = None
+    ) -> None:
+        """:meth:`put` for many ``(key, value)`` pairs under one lock round trip.
+
+        Stores and evictions are exactly those of one :meth:`put` per
+        pair, in order; the eviction counter is bumped once per batch.
+        With ``epoch`` given the whole batch is discarded if any
+        invalidation happened since that epoch was read.
+        """
+        if self.capacity <= 0:
+            return
+        capacity = self.capacity
+        evicted = 0
+        with self._lock:
+            if epoch is not None and epoch != self._epoch:
+                return
+            entries = self._entries
+            for key, value in items:
+                entries[key] = value
+                entries.move_to_end(key)
+                # One put adds at most one entry, so one eviction restores
+                # the bound.
+                if len(entries) > capacity:
+                    entries.popitem(last=False)
+                    evicted += 1
+        if evicted:
+            self._evictions.inc(evicted)
+
     def get_or_compute(self, key: Hashable, factory: Callable[[], Any]) -> Any:
         """Cached value for ``key``, computing and storing it on a miss.
 
@@ -278,6 +336,9 @@ class CachedSimilarity(UserSimilarity):
     ) -> dict[str, float]:
         """Batched pair scores; only cache misses reach the inner measure.
 
+        The probe and the store are one :meth:`ScoreCache.get_many` and
+        one :meth:`ScoreCache.put_many` call each, so a cold row of
+        thousands of pairs pays two lock round trips, not two per pair.
         A zero-capacity cache is bypassed outright: every probe would
         miss and every put would be dropped, yet at scale the per-pair
         lock/lookup round trips cost as much as the packed kernel
@@ -287,22 +348,20 @@ class CachedSimilarity(UserSimilarity):
         candidate_list = [c for c in candidates if c != user_id]
         if self.cache.capacity <= 0:
             return self.inner.similarities(user_id, candidate_list)
-        scores: dict[str, float] = {}
-        missing: list[str] = []
         epoch = self.cache.epoch
-        for candidate in candidate_list:
-            cached = self.cache.get(self._key(user_id, candidate), _MISS)
-            if cached is _MISS:
-                missing.append(candidate)
-            else:
-                scores[candidate] = cached
+        keys = [(user_id, candidate) for candidate in candidate_list]
+        cached = self.cache.get_many(keys, _MISS)
+        # Candidate order of the inner contract; misses are filled below.
+        scores = dict(zip(candidate_list, cached))
+        missing = [c for c, score in scores.items() if score is _MISS]
         if missing:
             computed = self.inner.similarities(user_id, missing)
-            for candidate, score in computed.items():
-                self.cache.put(self._key(user_id, candidate), score, epoch=epoch)
+            self.cache.put_many(
+                zip([(user_id, candidate) for candidate in computed], computed.values()),
+                epoch=epoch,
+            )
             scores.update(computed)
-        # Preserve the candidate order of the inner contract.
-        return {c: scores[c] for c in candidate_list if c in scores}
+        return {c: score for c, score in scores.items() if score is not _MISS}
 
     @property
     def profile_corpus_sensitive(self) -> bool:  # type: ignore[override]

@@ -824,8 +824,8 @@ class RecommendationService:
             and self.config.relevance_cache_size == 0
         ):
             # Streaming top-k: with no relevance cache to warm there is
-            # no reason to materialise the full row — the packed kernel
-            # feeds a bounded heap directly.  Output is bit-identical
+            # no reason to decode the full row — the packed kernel
+            # decodes only the top-k contenders.  Output is bit-identical
             # to rank_items over the full row (same pinned tie-break).
             with self._data_lock.read():
                 peers = self.index.peers_excluding(
@@ -903,7 +903,7 @@ class RecommendationService:
             return cached
         with self._data_lock.read():
             if self._packed is not None and self.config.packed_scan:
-                # Packed candidate scan: one bytearray mask over the
+                # Packed candidate scan: one boolean mask over the
                 # member rows, decoded to strings once at the end —
                 # same items, same (matrix insertion) order as the
                 # dict-path scan below.

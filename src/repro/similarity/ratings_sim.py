@@ -11,8 +11,9 @@ Pearson runs on one of two interchangeable kernels (the ``kernel``
 argument, mirrored by :attr:`repro.config.RecommenderConfig.kernel`):
 
 * ``"packed"`` (default) — the CSR kernels of :mod:`repro.kernels`:
-  integer-interned ids, sorted-merge intersections, precomputed means
-  and deviations, an inverted index for candidate overlap counting;
+  integer-interned ids in flat CSR arrays, precomputed means and
+  deviations, an inverted index gathered and summed with
+  ``numpy.bincount``;
 * ``"dict"`` — the oracle: straight dict-of-dicts arithmetic over the
   :class:`~repro.data.ratings.RatingMatrix`.
 
@@ -269,8 +270,7 @@ class PearsonRatingSimilarity(UserSimilarity):
 
         On the packed kernel this is
         :func:`repro.kernels.pearson_one_vs_many` — one inverted-index
-        walk over interned ints, then sorted-merge scoring of the
-        qualifying pairs.  The dict path keeps the same shape over the
+        gather over interned ints, scored for every co-rater at once.  The dict path keeps the same shape over the
         string-keyed matrix: walk the inverted index of the user's
         rated items once, count co-rated items per candidate, and only
         evaluate the Pearson formula for the candidates that reach

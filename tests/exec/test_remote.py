@@ -10,6 +10,8 @@ against spawned worker processes speaking the real wire protocol.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.exceptions import ConfigurationError, ExecutionError
@@ -273,6 +275,17 @@ class TestLifecycle:
         assert backend.live_workers == 0
         assert backend.address is None
         backend.close()
+
+    def test_close_with_a_listener_returns_promptly(self):
+        # The accept thread blocks in accept(); close() must wake it
+        # rather than wait out the join timeout.
+        backend = RemoteBackend(workers=1, **FAST)
+        backend.listen()
+        accept_thread = backend._accept_thread
+        started = time.perf_counter()
+        backend.close()
+        assert time.perf_counter() - started < 1.0
+        assert not accept_thread.is_alive()
 
     def test_backend_recovers_after_close(self):
         backend = RemoteBackend(workers=1, **FAST)

@@ -20,55 +20,61 @@ def random_matrix(seed: int, users: int = 12, items: int = 18) -> RatingMatrix:
     return matrix
 
 
+def row_of(packed: PackedRatings, user_int: int, flat) -> list:
+    """User int ``user_int``'s slice of the flat CSR array ``flat``."""
+    return flat[packed.indptr[user_int] : packed.indptr[user_int + 1]].tolist()
+
+
+def raters_of(packed: PackedRatings, item_int: int) -> dict[int, float]:
+    """Item int ``item_int``'s inverted-index slice as ``{rater: value}``."""
+    start, end = packed.inv_ptr[item_int], packed.inv_ptr[item_int + 1]
+    return dict(
+        zip(packed.inv_users[start:end].tolist(), packed.inv_values[start:end].tolist())
+    )
+
+
 def assert_packed_matches_matrix(packed: PackedRatings) -> None:
     """The packed arrays mirror the matrix exactly (rows, means, inverse)."""
     matrix = packed.matrix
     assert packed.user_ids == matrix.user_ids()
     assert packed.item_ids == matrix.item_ids()
     assert packed._num_ratings == matrix.num_ratings
+    assert len(packed.indptr) == matrix.num_users + 1
+    assert len(packed.inv_ptr) == matrix.num_items + 1
     for user_id in matrix.user_ids():
         u = packed.user_index[user_id]
         row = matrix.items_of(user_id)
         expected = sorted(
             (packed.item_index[item_id], value) for item_id, value in row.items()
         )
-        assert list(packed.row_items[u]) == [item for item, _ in expected]
-        assert list(packed.row_values[u]) == [value for _, value in expected]
+        assert row_of(packed, u, packed.indices) == [item for item, _ in expected]
+        assert row_of(packed, u, packed.values) == [value for _, value in expected]
         assert packed.means[u] == sum(row.values()) / len(row)
-        assert list(packed.row_devs[u]) == [
-            value - packed.means[u] for _, value in expected
+        assert row_of(packed, u, packed.devs) == [
+            value - float(packed.means[u]) for _, value in expected
         ]
     for item_id in matrix.item_ids():
         i = packed.item_index[item_id]
         raters = matrix.users_of(item_id)
         got = {
             packed.user_ids[user_int]: value
-            for user_int, value in zip(packed.inv_users[i], packed.inv_values[i])
+            for user_int, value in raters_of(packed, i).items()
         }
         assert got == raters
 
 
 def assert_same_packing(incremental: PackedRatings, fresh: PackedRatings) -> None:
-    """Incrementally-repacked state equals a from-scratch rebuild."""
+    """Incrementally-repacked state equals a from-scratch rebuild, array for array."""
     assert incremental.user_ids == fresh.user_ids
     assert incremental.item_ids == fresh.item_ids
-    assert [list(r) for r in incremental.row_items] == [
-        list(r) for r in fresh.row_items
-    ]
-    assert [list(r) for r in incremental.row_values] == [
-        list(r) for r in fresh.row_values
-    ]
-    assert [list(r) for r in incremental.row_devs] == [
-        list(r) for r in fresh.row_devs
-    ]
-    assert incremental.means == fresh.means
-    assert incremental.row_maps == fresh.row_maps
-    for i in range(len(fresh.item_ids)):
-        # Inverted rows may legitimately differ in order after an
-        # incremental patch; membership and values must agree.
-        assert dict(
-            zip(incremental.inv_users[i], incremental.inv_values[i])
-        ) == dict(zip(fresh.inv_users[i], fresh.inv_values[i]))
+    for name in (
+        "indptr", "indices", "values", "devs", "means",
+        "inv_ptr", "inv_users", "inv_values",
+    ):
+        got = getattr(incremental, name)
+        want = getattr(fresh, name)
+        assert got.dtype == want.dtype, name
+        assert got.tolist() == want.tolist(), name
 
 
 class TestLayout:
@@ -78,8 +84,9 @@ class TestLayout:
 
     def test_rows_sorted_by_interned_item_id(self):
         packed = PackedRatings(random_matrix(2))
-        for items in packed.row_items:
-            assert list(items) == sorted(items)
+        for u in range(packed.num_users):
+            items = row_of(packed, u, packed.indices)
+            assert items == sorted(items)
 
     def test_interning_follows_insertion_order(self):
         matrix = RatingMatrix([("b", "z", 3.0), ("a", "y", 4.0), ("a", "z", 2.0)])
@@ -207,8 +214,8 @@ class TestEdgeCases:
 
     def test_single_rating_matrix(self):
         packed = PackedRatings(RatingMatrix([("a", "x", 3.0)]))
-        assert packed.means == [3.0]
-        assert list(packed.row_devs[0]) == [0.0]
+        assert packed.means.tolist() == [3.0]
+        assert packed.devs.tolist() == [0.0]
 
     def test_pickle_round_trips_as_rebuild_recipe(self):
         matrix = random_matrix(15)
@@ -216,9 +223,7 @@ class TestEdgeCases:
         clone = pickle.loads(pickle.dumps(packed))
         assert clone.user_ids == packed.user_ids
         assert clone.item_ids == packed.item_ids
-        assert [list(r) for r in clone.row_values] == [
-            list(r) for r in packed.row_values
-        ]
+        assert_same_packing(clone, packed)
 
     def test_concurrent_ensure_current_repacks_exactly_once(self):
         """Batch serving calls the kernels from many reader threads at

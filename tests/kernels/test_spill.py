@@ -50,18 +50,23 @@ def assert_packed_matches_matrix(packed: PackedRatings) -> None:
     assert packed._num_ratings == matrix.num_ratings
     for user_id in matrix.user_ids():
         u = packed.user_index[user_id]
+        start, end = packed.indptr[u], packed.indptr[u + 1]
         row = matrix.items_of(user_id)
         expected = sorted(
             (packed.item_index[item_id], value) for item_id, value in row.items()
         )
-        assert list(packed.row_items[u]) == [item for item, _ in expected]
-        assert list(packed.row_values[u]) == [value for _, value in expected]
+        assert packed.indices[start:end].tolist() == [item for item, _ in expected]
+        assert packed.values[start:end].tolist() == [value for _, value in expected]
         assert packed.means[u] == sum(row.values()) / len(row)
     for item_id in matrix.item_ids():
         i = packed.item_index[item_id]
+        start, end = packed.inv_ptr[i], packed.inv_ptr[i + 1]
         got = {
             packed.user_ids[user_int]: value
-            for user_int, value in zip(packed.inv_users[i], packed.inv_values[i])
+            for user_int, value in zip(
+                packed.inv_users[start:end].tolist(),
+                packed.inv_values[start:end].tolist(),
+            )
         }
         assert got == matrix.users_of(item_id)
 
