@@ -264,7 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve.add_argument(
-        "--similarity-cache", type=int, default=500_000, help="pair-score LRU capacity"
+        "--similarity-cache",
+        type=int,
+        default=RecommenderConfig.similarity_cache_size,
+        help="pair-score LRU capacity (default: %(default)s, off)",
     )
     serve.add_argument(
         "--relevance-cache", type=int, default=10_000, help="relevance-row LRU capacity"

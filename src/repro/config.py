@@ -123,7 +123,11 @@ class RecommenderConfig:
         shuffling) so every run is reproducible.
     similarity_cache_size:
         Capacity (in pair scores) of the serving layer's LRU cache for
-        pairwise user similarities.  ``0`` disables the cache.
+        pairwise user similarities.  ``0`` (the default) disables the
+        cache: the neighbour index builds each row once and asks for a
+        user's pairs again only after a write to that user dropped
+        them, so the cache cannot hit on the serving path, while a
+        non-empty one is scanned in full on every write.
     relevance_cache_size:
         Capacity (in per-user relevance rows) of the serving layer's
         LRU cache.  ``0`` disables the cache.
@@ -248,7 +252,7 @@ class RecommenderConfig:
     hybrid_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
     candidate_pool_size: int = 30
     random_seed: int = 7
-    similarity_cache_size: int = 500_000
+    similarity_cache_size: int = 0
     relevance_cache_size: int = 10_000
     group_cache_size: int = 2048
     serve_workers: int = 1

@@ -8,8 +8,11 @@ so operators can size the caches from observed traffic.
 :class:`CachedSimilarity` decorates any
 :class:`~repro.similarity.base.UserSimilarity` with a pair-score cache.
 It is what the :class:`~repro.serving.index.NeighborIndex` reads
-through, so rebuilding one user's neighbourhood after an update re-uses
-every untouched pair score.
+through.  The serving default sizes that cache at 0 (bypassed): the
+index builds each row once, and asks for a user's pairs again only
+after a write to that user has dropped them, so on the serving path the
+cache cannot hit — while a non-empty one costs a scan of every entry on
+each write.
 """
 
 from __future__ import annotations
@@ -296,12 +299,12 @@ class CachedSimilarity(UserSimilarity):
     """Read-through pair-score cache around any similarity measure.
 
     Pair keys are *directional* — ``(a, b)`` and ``(b, a)`` are cached
-    separately.  The measures are mathematically symmetric but not
-    bit-symmetric (their accumulation order over co-rated items or
-    vector entries depends on the argument order), and the serving
-    layer promises results bit-identical to the cold pipeline, which
-    always evaluates ``simU(row_owner, candidate)``.  Halving the key
-    space is not worth 1-ulp divergences.
+    separately.  Every measure is mathematically symmetric, and Pearson
+    is bit-symmetric too (its co-rated terms run in canonical item
+    order in both directions), but the profile, semantic and cosine
+    measures accumulate in an order that depends on the arguments, and
+    the serving layer promises results bit-identical to the cold
+    pipeline, which always evaluates ``simU(row_owner, candidate)``.
 
     The decorated measure's batched :meth:`similarities` stays batched:
     only the missing candidates are forwarded to the inner measure in
@@ -362,6 +365,17 @@ class CachedSimilarity(UserSimilarity):
             )
             scores.update(computed)
         return {c: score for c, score in scores.items() if score is not _MISS}
+
+    def similarities_to(
+        self, user_id: str, owners: Iterable[str]
+    ) -> dict[str, float]:
+        """``simU(owner, user_id)`` per owner, straight from the inner measure.
+
+        The index asks for these only to patch ``user_id``'s entry into
+        other rows right after a write to ``user_id`` dropped every
+        cached pair with that user, so a probe could never hit.
+        """
+        return self.inner.similarities_to(user_id, owners)
 
     @property
     def profile_corpus_sensitive(self) -> bool:  # type: ignore[override]

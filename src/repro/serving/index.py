@@ -16,14 +16,18 @@ Two properties keep the index exactly equivalent to
   :meth:`~repro.similarity.base.UserSimilarity.similarities`, whose
   scores are bit-identical to the pairwise path.
 
-A reverse index (who lists ``u`` as a peer) powers the targeted
-invalidation of :meth:`refresh_user`: after a rating update only the
-touched user's row is rebuilt; every other built row is patched in
-place with the new score of that single pair.
+A reverse index (who lists ``u`` as a peer, with the score each row
+holds) powers the targeted invalidation of :meth:`refresh_user`: after
+a rating update only the touched user's row is rebuilt.  Every other
+built row needs at most its one entry for that user moved; one batched
+:meth:`~repro.similarity.base.UserSimilarity.similarities_to` call
+scores the user against every row owner, and only the rows whose entry
+moved are replaced.
 """
 
 from __future__ import annotations
 
+import bisect
 import threading
 from typing import Iterable, Mapping
 
@@ -37,6 +41,11 @@ from ..similarity.peers import Peer
 #: measure, and returns already-thresholded peer rows — raw O(n²)
 #: score tables never cross back to the parent.
 _BUILD_WORKER: "NeighborIndex | None" = None
+
+
+def _peer_order(peer: Peer) -> tuple[float, str]:
+    """Row order: descending similarity, ties by ascending user id."""
+    return (-peer.similarity, peer.user_id)
 
 
 def _init_build_worker(
@@ -78,8 +87,11 @@ class NeighborIndex:
         self.matrix = matrix
         self.similarity = similarity
         self.threshold = threshold
+        # Rows are replaced, never mutated: readers hold row references
+        # outside the lock.
         self._rows: dict[str, list[Peer]] = {}
-        self._reverse: dict[str, set[str]] = {}
+        # peer id -> {row owner: the peer's similarity in that row}.
+        self._reverse: dict[str, dict[str, float]] = {}
         self._lock = threading.RLock()
         self._version = 0
 
@@ -92,7 +104,7 @@ class NeighborIndex:
             for candidate, score in scores.items()
             if score >= self.threshold
         ]
-        row.sort(key=lambda peer: (-peer.similarity, peer.user_id))
+        row.sort(key=_peer_order)
         return row
 
     def _compute_row(self, user_id: str) -> tuple[list[Peer], dict[str, float]]:
@@ -103,12 +115,16 @@ class NeighborIndex:
     def _store_row(self, user_id: str, row: list[Peer]) -> None:
         old = self._rows.get(user_id)
         if old is not None:
-            for peer in old:
-                self._reverse.get(peer.user_id, set()).discard(user_id)
+            self._unlist(user_id, old)
         self._rows[user_id] = row
         for peer in row:
-            self._reverse.setdefault(peer.user_id, set()).add(user_id)
+            self._reverse.setdefault(peer.user_id, {})[user_id] = peer.similarity
         self._version += 1
+
+    def _unlist(self, owner: str, row: list[Peer]) -> None:
+        """Drop ``owner``'s reverse entries for every peer of ``row``."""
+        for peer in row:
+            self._reverse.get(peer.user_id, {}).pop(owner, None)
 
     def build(
         self,
@@ -201,7 +217,7 @@ class NeighborIndex:
     def users_with_neighbor(self, user_id: str) -> set[str]:
         """The indexed users whose peer list contains ``user_id``."""
         with self._lock:
-            return set(self._reverse.get(user_id, set()))
+            return set(self._reverse.get(user_id, ()))
 
     @property
     def built_rows(self) -> int:
@@ -233,14 +249,17 @@ class NeighborIndex:
         After ``user_id``'s ratings or profile changed, ``simU(u, v)``
         changed for every ``v`` — but for each *other* built row only
         the single entry for ``u`` moves.  The row of ``u`` is rebuilt
-        from scratch; every other built row is patched in place.
+        from scratch if it is built (an unbuilt row builds from current
+        data on first read); every other built row whose entry moved is
+        replaced by a patched copy (see :meth:`patch_neighbor`).
 
         Returns the set of users whose peer list changed (including
         ``user_id`` itself), which is exactly the set whose cached
         relevance rows the service must drop.
         """
         with self._lock:
-            self.rebuild_row(user_id)
+            if user_id in self._rows:
+                self.rebuild_row(user_id)
             return {user_id} | self.patch_neighbor(user_id)
 
     def rebuild_row(self, user_id: str) -> list[Peer]:
@@ -259,39 +278,51 @@ class NeighborIndex:
         """Re-evaluate ``user_id``'s entry in every *other* built row.
 
         After ``simU(·, user_id)`` changed, each built row needs only
-        its single entry for ``user_id`` moved, added or removed.
-        Returns the owners of the rows that changed.  (Rebuilding
-        ``user_id``'s own row is the caller's job — a sharded index
-        calls this on every shard but rebuilds the row once, in the
-        home shard.)
+        its single entry for ``user_id`` moved, added or removed.  One
+        :meth:`~repro.similarity.base.UserSimilarity.similarities_to`
+        call scores ``user_id`` against every row owner, in the owner's
+        direction as the cold path computes it.  The reverse index says
+        which rows hold an entry and at what score, so the old entry is
+        found by bisection; a row whose entry moved is replaced by a
+        patched copy and every other row is left alone.  Returns the
+        owners of the rows that changed.  (Rebuilding ``user_id``'s own
+        row is the caller's job — a sharded index calls this on every
+        shard but rebuilds the row once, in the home shard.)
         """
         with self._lock:
+            owners = [owner for owner in self._rows if owner != user_id]
+            if not owners:
+                return set()
+            scores = self.similarity.similarities_to(user_id, owners)
+            listed = self._reverse.setdefault(user_id, {})
             changed: set[str] = set()
-            for other, other_row in self._rows.items():
-                if other == user_id:
-                    continue
-                old_entry = next(
-                    (p for p in other_row if p.user_id == user_id), None
-                )
-                # Evaluate in the row owner's direction — the measures
-                # are not bit-symmetric and the cold path computes
-                # simU(owner, candidate).
-                new_score = self.similarity.similarity(other, user_id)
+            for owner in owners:
+                new_score = scores[owner]
+                old_score = listed.get(owner)
                 qualifies = new_score >= self.threshold
-                if old_entry is None and not qualifies:
+                if old_score is None and not qualifies:
                     continue
-                if (
-                    old_entry is not None
-                    and qualifies
-                    and old_entry.similarity == new_score
-                ):
+                if qualifies and old_score == new_score:
                     continue
-                patched = [p for p in other_row if p.user_id != user_id]
+                patched = self._rows[owner].copy()
+                if old_score is not None:
+                    del patched[
+                        bisect.bisect_left(
+                            patched, (-old_score, user_id), key=_peer_order
+                        )
+                    ]
                 if qualifies:
-                    patched.append(Peer(user_id=user_id, similarity=new_score))
-                    patched.sort(key=lambda peer: (-peer.similarity, peer.user_id))
-                self._store_row(other, patched)
-                changed.add(other)
+                    bisect.insort(
+                        patched,
+                        Peer(user_id=user_id, similarity=new_score),
+                        key=_peer_order,
+                    )
+                    listed[owner] = new_score
+                else:
+                    del listed[owner]
+                self._rows[owner] = patched
+                changed.add(owner)
+            self._version += len(changed)
             return changed
 
     def invalidate_user(self, user_id: str) -> None:
@@ -299,8 +330,7 @@ class NeighborIndex:
         with self._lock:
             row = self._rows.pop(user_id, None)
             if row is not None:
-                for peer in row:
-                    self._reverse.get(peer.user_id, set()).discard(user_id)
+                self._unlist(user_id, row)
                 self._version += 1
 
     def clear(self) -> None:

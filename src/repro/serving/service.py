@@ -1154,10 +1154,12 @@ class RecommendationService:
         """Apply one rating and drop exactly the stale cached state.
 
         Returns the set of users whose cached relevance rows were
-        invalidated.  The similarity pair cache loses only the pairs
-        involving ``user_id``; the neighbour index rebuilds only
-        ``user_id``'s row and patches the single affected entry in the
-        other rows; relevance rows are dropped for the touched user,
+        invalidated.  The similarity pair cache (off by default) loses
+        only the pairs involving ``user_id``; the neighbour index
+        rebuilds only ``user_id``'s row and patches the single affected
+        entry in the rows where it moved (see
+        :meth:`NeighborIndex.patch_neighbor`); relevance rows are
+        dropped for the touched user,
         for every user whose peer list changed, and for every user that
         counts the touched user as a peer (their Equation 1 inputs
         changed even if their peer list did not).

@@ -179,7 +179,9 @@ class ShardedNeighborIndex:
         Same contract as :meth:`NeighborIndex.refresh_user`: returns
         the users whose peer list changed (including ``user_id``).
         """
-        self.shard(user_id).rebuild_row(user_id)
+        home = self.shard(user_id)
+        if home.is_built(user_id):
+            home.rebuild_row(user_id)
         changed = {user_id}
         for shard in self.shards:
             changed |= shard.patch_neighbor(user_id)

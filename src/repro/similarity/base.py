@@ -78,6 +78,24 @@ class UserSimilarity(ABC):
             if candidate != user_id
         }
 
+    def similarities_to(
+        self, user_id: str, owners: Iterable[str]
+    ) -> dict[str, float]:
+        """``simU(owner, user_id)`` for every owner (``user_id`` excluded).
+
+        The reverse direction of :meth:`similarities`: what each owner's
+        peer row holds for ``user_id``.  The default evaluates every
+        pair in the owner's direction, as the row was built, because a
+        measure's float accumulation order may depend on argument order;
+        measures that are bit-symmetric override it with one batched
+        call.
+        """
+        return {
+            owner: self.similarity(owner, user_id)
+            for owner in owners
+            if owner != user_id
+        }
+
     def similarities_many(
         self,
         user_ids: Iterable[str],

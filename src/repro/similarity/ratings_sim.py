@@ -307,6 +307,19 @@ class PearsonRatingSimilarity(UserSimilarity):
                 scores[user_b] = self.similarity(user_id, user_b)
         return scores
 
+    def similarities_to(
+        self, user_id: str, owners: Iterable[str]
+    ) -> dict[str, float]:
+        """``RS(owner, u)`` for every owner, as one :meth:`similarities` batch.
+
+        Pearson is bit-symmetric on both kernels: each pair's co-rated
+        terms run in canonical item order whichever user comes first,
+        the products and ``sqrt(a) * sqrt(b)`` commute, and the
+        co-rated means are per-user sums.  So ``RS(u, owner)`` from one
+        inverted-index gather is exactly ``RS(owner, u)``.
+        """
+        return self.similarities(user_id, owners)
+
 
 class CosineRatingSimilarity(UserSimilarity):
     """Cosine similarity over the users' raw rating vectors.

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.config import RecommenderConfig
 from repro.serving.requests import (
     ServeRequest,
     load_requests,
@@ -155,7 +156,7 @@ class TestServeCommand:
         assert args.kernel == "packed"
         assert args.shards == 1
         assert args.snapshot is None
-        assert args.similarity_cache == 500_000
+        assert args.similarity_cache == RecommenderConfig().similarity_cache_size
         assert args.relevance_cache == 10_000
         assert args.no_warm is False
         assert args.pool_min_workers == 0  # 0 = pin at --workers

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import random
+
+import pytest
+
+from repro.config import RecommenderConfig
+from repro.serving import RecommendationService
 from repro.serving.index import NeighborIndex
 from repro.similarity.peers import PeerSelector
 from repro.similarity.ratings_sim import PearsonRatingSimilarity
@@ -107,3 +113,45 @@ class TestNeighborIndex:
         assert index.row("alice") == _selector_peers(
             tiny_matrix, "alice", threshold=0.0
         )
+
+
+class TestPatchParity:
+    """After any sequence of writes, every built row and reverse entry
+    equals a freshly built index over the same matrix, bit for bit."""
+
+    @pytest.mark.parametrize("threshold", [0.2, -1.0])
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("kernel", ["packed", "dict"])
+    def test_patched_index_equals_fresh_build(
+        self, mutable_dataset, kernel, shards, threshold
+    ):
+        config = RecommenderConfig(
+            kernel=kernel, index_shards=shards, peer_threshold=threshold
+        )
+        service = RecommendationService(mutable_dataset, config)
+        matrix = service.matrix
+        users = matrix.user_ids()
+        items = matrix.item_ids()
+        rng = random.Random(5)
+        service.index.build(rng.sample(users, 25))
+        patched_rows = 0
+        for step in range(30):
+            # Built and unbuilt users alike, plus one brand-new user.
+            user_id = "newcomer" if step == 10 else rng.choice(users)
+            value = float(rng.randint(1, 5))
+            changed = service.ingest_rating(user_id, rng.choice(items), value)
+            patched_rows += len(changed - {user_id})
+        assert patched_rows > 0
+
+        rows = service.index.snapshot_rows()
+        fresh = NeighborIndex(
+            matrix,
+            PearsonRatingSimilarity(matrix, kernel=kernel).with_private_packed(),
+            threshold,
+        )
+        fresh.build(rows)
+        assert fresh.snapshot_rows() == rows
+        for user_id in matrix.user_ids():
+            assert service.index.users_with_neighbor(
+                user_id
+            ) == fresh.users_with_neighbor(user_id), user_id

@@ -692,3 +692,44 @@ class TestKernelStateInvalidation:
                 packed_rec.candidates.group_relevance
                 == dict_rec.candidates.group_relevance
             )
+
+
+class TestWriteCost:
+    """A rating write costs O(the touched user's neighbourhood), not
+    O(everything the service has cached)."""
+
+    @pytest.mark.parametrize("built", [10, 30])
+    def test_ingest_makes_no_per_row_kernel_calls(
+        self, mutable_dataset, monkeypatch, built
+    ):
+        from repro.similarity import ratings_sim
+
+        calls = {"pearson_pair": 0, "pearson_one_vs_many": 0}
+        for name in calls:
+            original = getattr(ratings_sim, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(ratings_sim, name, counted)
+        service = RecommendationService(mutable_dataset)
+        users = service.matrix.user_ids()
+        service.index.build(users[:built])
+        assert service.index.built_rows == built
+        target = users[0]
+        item_id = service.matrix.unrated_items(target, service.matrix.item_ids())[0]
+        calls.update(dict.fromkeys(calls, 0))
+        service.ingest_rating(target, item_id, 5.0)
+        # One batch rebuilds the target's row, one scores the target
+        # against every other row owner — whatever the number of rows.
+        assert calls == {"pearson_pair": 0, "pearson_one_vs_many": 2}
+        assert len(service.similarity_cache) == 0
+
+        # A user whose row was never built keeps it unbuilt (it builds
+        # on first read): the write costs the patch batch alone.
+        unbuilt = users[-1]
+        calls.update(dict.fromkeys(calls, 0))
+        service.ingest_rating(unbuilt, item_id, 5.0)
+        assert calls == {"pearson_pair": 0, "pearson_one_vs_many": 1}
+        assert not service.index.is_built(unbuilt)

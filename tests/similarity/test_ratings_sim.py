@@ -313,3 +313,45 @@ class TestKernelEquivalenceOnFixture:
             assert packed_measure.similarities(
                 user_a, users
             ) == dict_measure.similarities(user_a, users)
+
+
+class TestBitSymmetry:
+    """``RS(a, b) == RS(b, a)`` exactly, which lets the neighbour index
+    score one user against every row owner in a single batch."""
+
+    @pytest.fixture
+    def matrix(self, small_dataset):
+        matrix = small_dataset.ratings.copy()
+        # A zero-variance user: every co-rated overlap has a 0 denominator.
+        for item_id in matrix.item_ids()[:12]:
+            matrix.add("flat", item_id, 3.0)
+        return matrix
+
+    @pytest.mark.parametrize("kernel", ["packed", "dict"])
+    @pytest.mark.parametrize("common_mean", [False, True])
+    @pytest.mark.parametrize("min_common", [1, 3])
+    def test_pair_scores_are_bit_symmetric(
+        self, matrix, kernel, common_mean, min_common
+    ):
+        measure = PearsonRatingSimilarity(
+            matrix,
+            min_common_items=min_common,
+            mean_over_common_only=common_mean,
+            kernel=kernel,
+        )
+        users = matrix.user_ids()
+        scores = {(a, b): measure.similarity(a, b) for a in users for b in users}
+        for (user_a, user_b), score in scores.items():
+            assert score == scores[(user_b, user_a)], (user_a, user_b)
+        # Every case the symmetry must hold for actually occurs.
+        off_diagonal = [s for (a, b), s in scores.items() if a != b]
+        assert any(s > 0.0 for s in off_diagonal)
+        assert any(s < 0.0 for s in off_diagonal)
+        assert all(scores[("flat", user)] == 0.0 for user in users if user != "flat")
+        if min_common > 1:
+            cut = [
+                (a, b)
+                for a, b in scores
+                if a != b and 0 < len(matrix.co_rated_items(a, b)) < min_common
+            ]
+            assert cut and all(scores[pair] == 0.0 for pair in cut)

@@ -75,7 +75,8 @@ class TestConvenience:
 
     def test_serving_defaults(self):
         config = RecommenderConfig()
-        assert config.similarity_cache_size > 0
+        # Off by default: on the serving path the pair cache cannot hit.
+        assert config.similarity_cache_size == 0
         assert config.relevance_cache_size > 0
         assert config.group_cache_size > 0
         assert config.serve_workers == 1
